@@ -1,4 +1,5 @@
-// Ablation: what each AdapTBF step contributes (DESIGN.md §4).
+// Ablation: what each AdapTBF step contributes (docs/architecture.md,
+// "Model deviations").
 //
 // The §IV-E workload (bursty high-priority jobs + continuous low-priority)
 // run with the three algorithm steps toggled:

@@ -1,4 +1,4 @@
-// Ablation: TBF bucket depth (DESIGN.md §4).
+// Ablation: TBF bucket depth (docs/architecture.md, "Model deviations").
 //
 // Lustre defaults the bucket depth to 3 tokens — enough to absorb a tiny
 // burst, small enough that a queue cannot bank a flood (§II-A). This sweep

@@ -1,4 +1,5 @@
-// Ablation: fractional-remainder fairness (eqs. 21-25; DESIGN.md §4).
+// Ablation: fractional-remainder fairness (eqs. 21-25; docs/architecture.md,
+// "Model deviations").
 //
 // With a deliberately tiny token budget per window (low T_i, short Δt),
 // integer flooring without remainder carrying systematically short-changes

@@ -1,4 +1,5 @@
-// Event-core benchmark: events/s, allocations/event, trials/s.
+// Event-core benchmark: events/s, allocations/event, trials/s, and
+// allocations per RPC of a whole trial.
 //
 // Prints machine-readable "key value" lines on stdout (wrapped into
 // BENCH_sim_core.json by scripts/bench_to_json.sh, which CI uploads on
@@ -7,7 +8,10 @@
 // "allocations per event" is the real process-wide number, not a proxy:
 // with the pooled event slots and inline callbacks, steady-state
 // scheduling must allocate exactly nothing (enforced by
-// --require-zero-alloc in CI).
+// --require-zero-alloc in CI). experiment_allocs_per_rpc is the same count
+// over whole run_experiment trials (wiring, model layers and metrics
+// included) divided by the RPCs they complete; CI holds it under the
+// ceiling in bench/sim_core_floor.json.
 //
 // Usage: sim_core_bench [--events N] [--trials N] [--queue heap|calendar|both]
 //                       [--require-zero-alloc]
@@ -221,6 +225,7 @@ ChurnResult bench_cancel(std::uint64_t pairs, QueueBackend backend) {
 struct TrialResultStats {
   double trials_per_sec = 0.0;
   double events_per_sec = 0.0;
+  double allocs_per_rpc = 0.0;
 };
 
 TrialResultStats bench_trials(int trials, QueueBackend backend) {
@@ -233,16 +238,22 @@ TrialResultStats bench_trials(int trials, QueueBackend backend) {
   options.queue_backend = backend;
   options.simulator = &sim;
   std::uint64_t events = 0;
+  std::uint64_t rpcs = 0;
   (void)run_experiment(spec, options);  // warm-up
+  const std::uint64_t allocations_before = allocations();
   const auto start = Clock::now();
   for (int i = 0; i < trials; ++i) {
     const auto result = run_experiment(spec, options);
     events += result.events_dispatched;
+    for (const auto& job : result.jobs) rpcs += job.rpcs_completed;
   }
   const double elapsed = seconds_since(start);
+  const std::uint64_t allocation_delta = allocations() - allocations_before;
   TrialResultStats stats;
   stats.trials_per_sec = static_cast<double>(trials) / elapsed;
   stats.events_per_sec = static_cast<double>(events) / elapsed;
+  stats.allocs_per_rpc =
+      static_cast<double>(allocation_delta) / static_cast<double>(rpcs);
   return stats;
 }
 
@@ -292,6 +303,8 @@ void print_series(const char* prefix, const BackendSeries& series,
               series.experiment.trials_per_sec);
   std::printf("%sexperiment_events_per_sec %.0f\n", prefix,
               series.experiment.events_per_sec);
+  std::printf("%sexperiment_allocs_per_rpc %.6f\n", prefix,
+              series.experiment.allocs_per_rpc);
 }
 
 int run(int argc, char** argv) {

@@ -9,6 +9,8 @@
 #   4. the README must link every docs page
 #   5. docs/development.md must cover the correctness-tooling surface
 #      (sanitizer flavors, -Werror switch, lint scripts, test labels)
+#   6. no source, test or bench file may cite DESIGN.md: there is no such
+#      file, and the notes it once held live in docs/architecture.md
 #
 # Mentioning a header is a low bar on purpose: the check catches "we
 # added a subsystem and never documented it", not prose quality.
@@ -57,6 +59,11 @@ for term in ADAPTBF_SANITIZE ADAPTBF_WERROR lint_invariants.sh .clang-tidy \
     fail=1
   fi
 done
+
+if grep -rn 'DESIGN\.md' src/ tests/ bench/; then
+  echo "docs check: the references above cite DESIGN.md, which does not exist (see docs/architecture.md)" >&2
+  fail=1
+fi
 
 if [ "$fail" -eq 0 ]; then
   echo "docs check: OK"

@@ -1,5 +1,6 @@
 #include "adaptbf/controller.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "support/check.h"
@@ -13,7 +14,10 @@ AdaptbfController::AdaptbfController(Simulator& sim, Ost& ost,
       scheduler_(scheduler),
       config_(std::move(config)),
       allocator_(config_.allocator),
-      daemon_(scheduler, config_.daemon) {}
+      daemon_(scheduler, config_.daemon) {
+  nodes_by_job_.assign(config_.job_nodes.begin(), config_.job_nodes.end());
+  std::sort(nodes_by_job_.begin(), nodes_by_job_.end());
+}
 
 void AdaptbfController::start() {
   ADAPTBF_CHECK_MSG(!running_, "controller already started");
@@ -34,22 +38,25 @@ void AdaptbfController::add_observer(WindowObserver observer) {
 
 void AdaptbfController::tick() {
   // (1) System Stats Controller: collect this window's job stats.
-  const auto snapshot = ost_.job_stats().window_snapshot();
+  ost_.job_stats().window_snapshot(snapshot_);
 
-  // (2) Token Allocation Algorithm over active jobs only.
-  std::vector<JobWindowInput> inputs;
-  inputs.reserve(snapshot.size());
-  for (const auto& stats : snapshot) {
+  // (2) Token Allocation Algorithm over active jobs only. Both the
+  // snapshot and nodes_by_job_ ascend by JobId.
+  inputs_.clear();
+  auto nodes = nodes_by_job_.begin();
+  for (const auto& stats : snapshot_) {
     if (stats.rpcs == 0) continue;
+    while (nodes != nodes_by_job_.end() && nodes->first < stats.job) ++nodes;
     JobWindowInput input;
     input.job = stats.job;
-    auto nodes = config_.job_nodes.find(stats.job);
-    input.nodes = nodes == config_.job_nodes.end() ? 1 : nodes->second;
+    input.nodes = nodes != nodes_by_job_.end() && nodes->first == stats.job
+                      ? nodes->second
+                      : 1;
     input.demand = static_cast<double>(stats.rpcs);
-    inputs.push_back(input);
+    inputs_.push_back(input);
   }
   ++windows_;
-  WindowResult window = allocator_.allocate(inputs, sim_.now());
+  WindowResult window = allocator_.allocate(inputs_, sim_.now());
   allocator_.collect_garbage(sim_.now());
 
   // (3) Rule Management Daemon applies the allocation, optionally after the

@@ -65,6 +65,12 @@ class AdaptbfController {
   Simulator::PeriodicHandle periodic_{};
   bool running_ = false;
   std::uint64_t windows_ = 0;
+  /// config_.job_nodes as (JobId, nodes), ascending: tick() pairs it with
+  /// the ascending window snapshot in one merge instead of a lookup per job.
+  std::vector<std::pair<JobId, std::uint32_t>> nodes_by_job_;
+  // Per-window scratch, reused across windows.
+  std::vector<JobWindowStats> snapshot_;
+  std::vector<JobWindowInput> inputs_;
 };
 
 }  // namespace adaptbf

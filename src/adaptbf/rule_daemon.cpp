@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "support/check.h"
 #include "support/log.h"
@@ -26,48 +25,70 @@ std::int32_t rank_from_priority(double priority) {
 }
 }  // namespace
 
+RuleDaemon::JobRule& RuleDaemon::job_rule(JobId job) {
+  const std::uint32_t slot = slots_.insert(job);
+  if (slot == rules_.size()) {
+    JobRule& rule = rules_.emplace_back();
+    rule.spec.name = rule_name(job);
+    rule.spec.matcher = RpcMatcher::for_job(job);
+    rule.spec.depth = config_.depth;
+  }
+  return rules_[slot];
+}
+
 void RuleDaemon::apply(const WindowResult& window, SimTime now) {
+  ++window_;
+  for (const auto& j : window.jobs) job_rule(j.job).desired_window = window_;
+
   // Stop rules for jobs absent from this window's active set.
-  std::unordered_set<std::string> desired;
-  desired.reserve(window.jobs.size());
-  for (const auto& j : window.jobs) desired.insert(rule_name(j.job));
-  for (const std::string& name : scheduler_.active_rules()) {
-    auto owned = owned_rules_.find(name);
-    if (owned == owned_rules_.end()) continue;  // not ours
-    if (desired.contains(name)) continue;
+  std::size_t kept = 0;
+  for (const std::uint32_t slot : owned_) {
+    JobRule& rule = rules_[slot];
+    if (!scheduler_.is_active(rule.id)) {  // stopped by someone else
+      rule.owned = false;
+      continue;
+    }
     // A job with no arrivals this window but RPCs still queued is merely
     // throttled, not gone: stopping its rule would release the backlog
     // unthrottled through the fallback path and invert the priorities the
     // rule exists to enforce. Keep the rule (at its last rate) until the
     // queue drains.
-    if (scheduler_.queue_backlog(owned->second) > 0) continue;
-    scheduler_.stop_rule(name, now);
-    owned_rules_.erase(owned);
+    if (rule.desired_window == window_ ||
+        scheduler_.queue_backlog(slots_.job(slot)) > 0) {
+      owned_[kept++] = slot;
+      continue;
+    }
+    scheduler_.stop_rule(rule.id, now);
+    rule.owned = false;
     ++stopped_;
     ADAPTBF_LOG_INFO("rule-daemon", "stopped %s (job inactive)",
-                     name.c_str());
+                     rule.spec.name.c_str());
   }
+  owned_.resize(kept);
 
   // Start or re-rate a rule per active job.
   for (const auto& j : window.jobs) {
-    const std::string name = rule_name(j.job);
+    const std::uint32_t slot = slots_.find(j.job);
+    JobRule& rule = rules_[slot];
     const double rate = std::max(config_.min_rate, j.rate);
     const std::int32_t rank = rank_from_priority(j.priority);
-    if (scheduler_.has_rule(name)) {
-      scheduler_.change_rule(name, rate, rank, now);
+    // A rule of this name may exist without this daemon having started it.
+    if (rule.id == TbfScheduler::kNoRule)
+      rule.id = scheduler_.find_rule(rule.spec.name);
+    if (scheduler_.is_active(rule.id)) {
+      scheduler_.change_rule(rule.id, rate, rank, now);
       ++changed_;
     } else {
-      RuleSpec spec;
-      spec.name = name;
-      spec.matcher = RpcMatcher::for_job(j.job);
-      spec.rate = rate;
-      spec.depth = config_.depth;
-      spec.rank = rank;
-      scheduler_.start_rule(spec);
-      owned_rules_.emplace(name, j.job);
+      rule.spec.rate = rate;
+      rule.spec.rank = rank;
+      rule.id = scheduler_.start_rule(rule.spec);
+      if (!rule.owned) {
+        rule.owned = true;
+        owned_.push_back(slot);
+      }
       ++started_;
       ADAPTBF_LOG_INFO("rule-daemon", "started %s rate=%.1f rank=%d",
-                       name.c_str(), rate, rank);
+                       rule.spec.name.c_str(), rate, rank);
     }
   }
 }

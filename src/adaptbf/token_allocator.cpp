@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "support/check.h"
 
@@ -16,6 +15,41 @@ TokenAllocator::TokenAllocator(AllocatorConfig config) : config_(config) {
                     "ewma_alpha must be in (0, 1]");
 }
 
+void TokenAllocator::bind_states() {
+  // Both sides ascend by JobId. New jobs' states are appended and merged
+  // into place (which allocates only when new jobs arrive), then one walk
+  // pairs every input with its state.
+  auto by_job = [](const JobState& a, const JobState& b) {
+    return a.job < b.job;
+  };
+  const std::size_t tracked = state_.size();
+  std::size_t s = 0;
+  for (const auto& input : inputs_) {
+    while (s < tracked && state_[s].job < input.job) ++s;
+    if (s == tracked || state_[s].job != input.job) {
+      JobState fresh;
+      fresh.job = input.job;
+      state_.push_back(fresh);
+    }
+  }
+  std::inplace_merge(state_.begin(),
+                     state_.begin() + static_cast<std::ptrdiff_t>(tracked),
+                     state_.end(), by_job);
+  input_state_.clear();
+  s = 0;
+  for (const auto& input : inputs_) {
+    while (state_[s].job < input.job) ++s;
+    input_state_.push_back(s);
+  }
+}
+
+const TokenAllocator::JobState* TokenAllocator::find_state(JobId job) const {
+  auto it = std::lower_bound(
+      state_.begin(), state_.end(), job,
+      [](const JobState& st, JobId key) { return st.job < key; });
+  return it == state_.end() || it->job != job ? nullptr : &*it;
+}
+
 WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
                                       SimTime now) {
   WindowResult result;
@@ -24,28 +58,30 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
   if (active.empty()) return result;
 
   // Sort by JobId and validate inputs.
-  std::vector<JobWindowInput> inputs(active.begin(), active.end());
-  std::sort(inputs.begin(), inputs.end(),
+  inputs_.assign(active.begin(), active.end());
+  std::sort(inputs_.begin(), inputs_.end(),
             [](const auto& a, const auto& b) { return a.job < b.job; });
   std::uint64_t sum_nodes = 0;
-  {
-    std::unordered_set<std::uint32_t> seen;
-    for (const auto& input : inputs) {
-      ADAPTBF_CHECK_MSG(input.nodes > 0, "job must hold >= 1 compute node");
-      ADAPTBF_CHECK_MSG(input.demand >= 0.0, "demand must be non-negative");
-      ADAPTBF_CHECK_MSG(seen.insert(input.job.value()).second,
-                        "duplicate JobId in window input");
-      sum_nodes += input.nodes;
-    }
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    const auto& input = inputs_[i];
+    ADAPTBF_CHECK_MSG(input.nodes > 0, "job must hold >= 1 compute node");
+    ADAPTBF_CHECK_MSG(input.demand >= 0.0, "demand must be non-negative");
+    ADAPTBF_CHECK_MSG(i == 0 || inputs_[i - 1].job != input.job,
+                      "duplicate JobId in window input");
+    sum_nodes += input.nodes;
   }
+  bind_states();
 
   const double dt_sec = config_.dt.to_seconds();
-  const std::size_t n = inputs.size();
+  const std::size_t n = inputs_.size();
   result.jobs.resize(n);
+  auto state_of = [this](std::size_t i) -> JobState& {
+    return state_[input_state_[i]];
+  };
 
   // ---- Step 1: priority-based initial allocation (eqs. 1-2) ----
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& input = inputs[i];
+    const auto& input = inputs_[i];
     JobAllocation& out = result.jobs[i];
     out.job = input.job;
     out.demand = input.demand;
@@ -53,7 +89,7 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
                    static_cast<double>(sum_nodes);
     out.initial = result.total_tokens * out.priority;
 
-    JobState& st = state_[input.job];
+    JobState& st = state_of(i);
     st.last_active = now;
     // Update the future-demand estimate d̄ (eq. 11). Under kLastWindow this
     // is exactly the paper's d̄ = d assumption.
@@ -64,9 +100,10 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
     } else {
       st.demand_estimate = input.demand;
     }
-    // Utilization u = d / α_{t-1} (eq. 3), guarded per DESIGN.md: a job
-    // never allocated before is neutral (u = 1); a job that had a zero
-    // allocation but still shows demand is an unbounded deficit.
+    // Utilization u = d / α_{t-1} (eq. 3), with the utilization guard of
+    // docs/architecture.md "Model deviations": a job never allocated
+    // before is neutral (u = 1); a job that had a zero allocation but still
+    // shows demand is an unbounded deficit.
     if (st.prev_alloc < 0.0) {
       out.utilization = 1.0;
     } else if (st.prev_alloc == 0.0) {
@@ -93,24 +130,26 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
     for (const auto& j : result.jobs) df_sum += distribution_factor(j);
     if (surplus_total > 0.0 && df_sum > 0.0) {
       result.surplus_total = surplus_total;
-      for (auto& j : result.jobs) {
+      for (std::size_t i = 0; i < n; ++i) {
+        JobAllocation& j = result.jobs[i];
         const double share =
             distribution_factor(j) / df_sum * surplus_total;
         j.after_redistribution = j.initial - j.surplus + share;
-        j.record_after_redistribution =
-            state_.at(j.job).record + j.surplus - share;
+        j.record_after_redistribution = state_of(i).record + j.surplus - share;
       }
     } else {
-      for (auto& j : result.jobs) {
+      for (std::size_t i = 0; i < n; ++i) {
+        JobAllocation& j = result.jobs[i];
         j.surplus = 0.0;
         j.after_redistribution = j.initial;
-        j.record_after_redistribution = state_.at(j.job).record;
+        j.record_after_redistribution = state_of(i).record;
       }
     }
   } else {
-    for (auto& j : result.jobs) {
+    for (std::size_t i = 0; i < n; ++i) {
+      JobAllocation& j = result.jobs[i];
       j.after_redistribution = j.initial;
-      j.record_after_redistribution = state_.at(j.job).record;
+      j.record_after_redistribution = state_of(i).record;
     }
   }
 
@@ -119,26 +158,27 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
   if (config_.enable_recompensation) {
     // Membership (eqs. 9-10): sign must agree before AND after
     // redistribution, so a job that flipped sides this window sits out.
-    std::vector<JobAllocation*> lenders;    // J_+
-    std::vector<JobAllocation*> borrowers;  // J_-
-    for (auto& j : result.jobs) {
-      const double r_before = state_.at(j.job).record;
-      const double r_rd = j.record_after_redistribution;
-      if (r_before > 0.0 && r_rd > 0.0) lenders.push_back(&j);
-      if (r_before < 0.0 && r_rd < 0.0) borrowers.push_back(&j);
+    lenders_.clear();    // J_+
+    borrowers_.clear();  // J_-
+    for (std::size_t i = 0; i < n; ++i) {
+      const double r_before = state_of(i).record;
+      const double r_rd = result.jobs[i].record_after_redistribution;
+      if (r_before > 0.0 && r_rd > 0.0) lenders_.push_back(i);
+      if (r_before < 0.0 && r_rd < 0.0) borrowers_.push_back(i);
     }
-    if (!lenders.empty() && !borrowers.empty()) {
+    if (!lenders_.empty() && !borrowers_.empty()) {
       // Reclaim coefficient C (eq. 13): one scalar for the window, built
       // from the lenders' current/estimated-future utilization and
       // priority, clamped to [0, 1].
       double coefficient = 0.0;
-      for (const auto* j : lenders) {
-        const double estimated = state_.at(j->job).demand_estimate;
+      for (std::size_t i : lenders_) {
+        const JobAllocation& j = result.jobs[i];
+        const double estimated = state_of(i).demand_estimate;
         const double future_util =  // ū (eqs. 11-12)
-            j->after_redistribution > 0.0
-                ? estimated / j->after_redistribution
+            j.after_redistribution > 0.0
+                ? estimated / j.after_redistribution
                 : config_.deficit_saturation;
-        coefficient += (j->priority * std::max(1.0, j->utilization) +
+        coefficient += (j.priority * std::max(1.0, j.utilization) +
                         std::max(0.0, 1.0 - future_util)) /
                        2.0;
       }
@@ -148,13 +188,14 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
       // Reclaim from borrowers (eqs. 14-16), bounded by |r_RD| and by the
       // post-redistribution allocation itself.
       double reclaim_total = 0.0;
-      for (auto* j : borrowers) {
-        const double bound = std::abs(j->record_after_redistribution);
-        j->reclaimed = std::min(
+      for (std::size_t i : borrowers_) {
+        JobAllocation& j = result.jobs[i];
+        const double bound = std::abs(j.record_after_redistribution);
+        j.reclaimed = std::min(
             bound,
-            std::max(0.0, coefficient * j->after_redistribution));
-        j->after_recompensation = j->after_redistribution - j->reclaimed;
-        reclaim_total += j->reclaimed;
+            std::max(0.0, coefficient * j.after_redistribution));
+        j.after_recompensation = j.after_redistribution - j.reclaimed;
+        reclaim_total += j.reclaimed;
       }
       result.reclaim_total = reclaim_total;
 
@@ -162,13 +203,15 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
       // zero factor (all fully idle), fall back to equal shares.
       if (reclaim_total > 0.0) {
         double df_sum = 0.0;
-        for (const auto* j : lenders) df_sum += distribution_factor(*j);
-        for (auto* j : lenders) {
+        for (std::size_t i : lenders_)
+          df_sum += distribution_factor(result.jobs[i]);
+        for (std::size_t i : lenders_) {
+          JobAllocation& j = result.jobs[i];
           const double weight =
-              df_sum > 0.0 ? distribution_factor(*j) / df_sum
-                           : 1.0 / static_cast<double>(lenders.size());
-          j->compensated = weight * reclaim_total;
-          j->after_recompensation = j->after_redistribution + j->compensated;
+              df_sum > 0.0 ? distribution_factor(j) / df_sum
+                           : 1.0 / static_cast<double>(lenders_.size());
+          j.compensated = weight * reclaim_total;
+          j.after_recompensation = j.after_redistribution + j.compensated;
         }
       }
     }
@@ -185,8 +228,9 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
     budget_carry_ = budget_with_carry - static_cast<double>(target);
 
     std::int64_t allocated = 0;
-    for (auto& j : result.jobs) {
-      const double raw = j.after_recompensation + state_.at(j.job).remainder;
+    for (std::size_t i = 0; i < n; ++i) {
+      JobAllocation& j = result.jobs[i];
+      const double raw = j.after_recompensation + state_of(i).remainder;
       j.tokens = static_cast<std::int64_t>(std::floor(raw + 1e-9));
       if (j.tokens < 0) j.tokens = 0;  // remainders cannot drive negative
       j.remainder_after = raw - static_cast<double>(j.tokens);
@@ -198,17 +242,16 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
     // token per job, so a window costs O(n log n) regardless of how many
     // tokens are off (the paper's O(n)-per-job claim holds: the mismatch
     // is bounded by the remainder pool, itself bounded by n).
-    std::vector<JobAllocation*> order;
-    order.reserve(result.jobs.size());
-    for (auto& j : result.jobs) order.push_back(&j);
+    order_.clear();
+    for (auto& j : result.jobs) order_.push_back(&j);
     while (allocated < target) {
-      std::sort(order.begin(), order.end(),
+      std::sort(order_.begin(), order_.end(),
                 [](const auto* a, const auto* b) {
                   if (a->remainder_after != b->remainder_after)
                     return a->remainder_after > b->remainder_after;
                   return a->job < b->job;
                 });
-      for (auto* pick : order) {
+      for (auto* pick : order_) {
         if (allocated >= target) break;
         pick->tokens += 1;
         pick->remainder_after -= 1.0;
@@ -216,14 +259,14 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
       }
     }
     while (allocated > target) {
-      std::sort(order.begin(), order.end(),
+      std::sort(order_.begin(), order_.end(),
                 [](const auto* a, const auto* b) {
                   if (a->remainder_after != b->remainder_after)
                     return a->remainder_after < b->remainder_after;
                   return a->job < b->job;
                 });
       bool took_any = false;
-      for (auto* pick : order) {
+      for (auto* pick : order_) {
         if (allocated <= target) break;
         if (pick->tokens == 0) continue;
         pick->tokens -= 1;
@@ -243,8 +286,9 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
   }
 
   // ---- Commit state and derive rates ----
-  for (auto& j : result.jobs) {
-    JobState& st = state_.at(j.job);
+  for (std::size_t i = 0; i < n; ++i) {
+    JobAllocation& j = result.jobs[i];
+    JobState& st = state_of(i);
     // Record after the window: redistribution delta plus re-compensation
     // delta (eqs. 8, 16, 20).
     j.record_after = j.record_after_redistribution + j.reclaimed -
@@ -258,29 +302,25 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
 }
 
 void TokenAllocator::collect_garbage(SimTime now) {
-  for (auto it = state_.begin(); it != state_.end();) {
-    if (now - it->second.last_active > config_.record_gc_horizon)
-      it = state_.erase(it);
-    else
-      ++it;
-  }
+  std::erase_if(state_, [&](const JobState& st) {
+    return now - st.last_active > config_.record_gc_horizon;
+  });
 }
 
 double TokenAllocator::record(JobId job) const {
-  auto it = state_.find(job);
-  return it == state_.end() ? 0.0 : it->second.record;
+  const JobState* st = find_state(job);
+  return st == nullptr ? 0.0 : st->record;
 }
 
 double TokenAllocator::remainder(JobId job) const {
-  auto it = state_.find(job);
-  return it == state_.end() ? 0.0 : it->second.remainder;
+  const JobState* st = find_state(job);
+  return st == nullptr ? 0.0 : st->remainder;
 }
 
 double TokenAllocator::estimated_demand(JobId job) const {
-  auto it = state_.find(job);
-  return it == state_.end() || it->second.demand_estimate < 0.0
-             ? 0.0
-             : it->second.demand_estimate;
+  const JobState* st = find_state(job);
+  return st == nullptr || st->demand_estimate < 0.0 ? 0.0
+                                                    : st->demand_estimate;
 }
 
 }  // namespace adaptbf

@@ -20,14 +20,15 @@
 // repairs any ±k mismatch with the window's total token budget.
 //
 // Deviations from the paper, chosen where the text is ambiguous (see
-// DESIGN.md §2): the reclaim coefficient C is one per-window scalar (the
-// eq. 13 RHS does not depend on the borrower) clamped to [0,1]; the eq. 14
-// bound uses the post-redistribution record |r_RD|; on token excess the
-// largest-remainder fix decrements the job with the *smallest* remainder.
+// docs/architecture.md, "Model deviations"): the reclaim coefficient C is
+// one per-window scalar (the eq. 13 RHS does not depend on the borrower)
+// clamped to [0,1]; the eq. 14 bound uses the post-redistribution record
+// |r_RD|; on token excess the largest-remainder fix decrements the job
+// with the *smallest* remainder.
 #pragma once
 
-#include <map>
 #include <span>
+#include <vector>
 
 #include "adaptbf/allocation_types.h"
 #include "sim/time.h"
@@ -56,7 +57,8 @@ struct AllocatorConfig {
   /// EWMA smoothing factor in (0, 1]; weight of the newest window.
   double ewma_alpha = 0.3;
 
-  // Ablation switches (DESIGN.md §4). All on = the paper's algorithm.
+  // Ablation switches (docs/architecture.md, "Model deviations"). All on =
+  // the paper's algorithm.
   bool enable_redistribution = true;
   bool enable_recompensation = true;
   bool enable_remainders = true;
@@ -77,6 +79,8 @@ class TokenAllocator {
   /// Runs one window over the active-job stats. `active` need not be
   /// sorted; entries must have distinct JobIds and demand >= 0. Updates the
   /// internal per-job state (records, remainders, previous allocations).
+  /// Apart from the returned result, a window allocates only when the set
+  /// of tracked jobs outgrows its storage.
   WindowResult allocate(std::span<const JobWindowInput> active, SimTime now);
 
   /// Drops state for jobs inactive since `now - record_gc_horizon`.
@@ -93,6 +97,7 @@ class TokenAllocator {
 
  private:
   struct JobState {
+    JobId job;
     double record = 0.0;       // r_x
     double remainder = 0.0;    // ρ_x
     double prev_alloc = -1.0;  // α_x^{t-1}; -1 = never allocated
@@ -100,9 +105,24 @@ class TokenAllocator {
     SimTime last_active;
   };
 
+  /// State of `job`, nullptr if untracked.
+  [[nodiscard]] const JobState* find_state(JobId job) const;
+  /// Adds state for the jobs of inputs_ that have none and points
+  /// input_state_[i] at inputs_[i]'s state.
+  void bind_states();
+
   AllocatorConfig config_;
-  std::map<JobId, JobState> state_;  // ordered: deterministic iteration
+  /// Ascending JobId: lookups merge against the sorted window inputs, and
+  /// iteration order is deterministic.
+  std::vector<JobState> state_;
   double budget_carry_ = 0.0;  ///< Fractional part of the window budget.
+
+  // Per-window scratch, kept so steady-state windows reuse its storage.
+  std::vector<JobWindowInput> inputs_;  ///< This window's, sorted.
+  std::vector<std::size_t> input_state_;  ///< inputs_[i] -> state_ index.
+  std::vector<std::size_t> lenders_;    ///< J_+ (result indices)
+  std::vector<std::size_t> borrowers_;  ///< J_- (result indices)
+  std::vector<JobAllocation*> order_;
 };
 
 }  // namespace adaptbf

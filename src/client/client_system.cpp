@@ -1,5 +1,6 @@
 #include "client/client_system.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "support/check.h"
@@ -19,21 +20,13 @@ void ClientSystem::attach_ost(Ost& ost) {
 ProcessStream& ClientSystem::add_process(Ost& ost,
                                          ProcessStream::Config config,
                                          std::unique_ptr<IoPattern> pattern) {
-  // The id allocator doubles as the routing registrar: every id it hands
-  // out is mapped back to the issuing process so completions can be
-  // demultiplexed. The process pointer is only known after construction,
-  // so the closure captures a slot filled in below.
-  auto route_slot = std::make_shared<ProcessStream*>(nullptr);
-  auto allocate_id = [this, route_slot]() -> std::uint64_t {
-    const std::uint64_t id = next_rpc_id_++;
-    ADAPTBF_CHECK(*route_slot != nullptr);
-    inflight_routes_.emplace(id, *route_slot);
-    return id;
-  };
-  auto process = std::make_unique<ProcessStream>(
-      sim_, ost, config, std::move(pattern), std::move(allocate_id));
-  *route_slot = process.get();
-  processes_.push_back(std::move(process));
+  const auto route = static_cast<std::uint32_t>(processes_.size());
+  const std::uint32_t slot = job_slots_.insert(config.job);
+  if (slot == last_of_job_.size()) last_of_job_.push_back(JobSlots::kNone);
+  previous_of_job_.push_back(last_of_job_[slot]);
+  last_of_job_[slot] = route;
+  processes_.push_back(std::make_unique<ProcessStream>(
+      sim_, ost, config, std::move(pattern), next_rpc_id_, route));
   return *processes_.back();
 }
 
@@ -47,21 +40,35 @@ bool ClientSystem::all_finished() const {
   return true;
 }
 
+template <typename Fn>
+void ClientSystem::for_each_process_of(JobId job, Fn&& fn) const {
+  const std::uint32_t slot = job_slots_.find(job);
+  if (slot == JobSlots::kNone) return;
+  for (std::uint32_t route = last_of_job_[slot]; route != JobSlots::kNone;
+       route = previous_of_job_[route])
+    fn(*processes_[route]);
+}
+
+bool ClientSystem::job_finished(JobId job) const {
+  bool finished = true;
+  for_each_process_of(job, [&](const ProcessStream& process) {
+    finished = finished && process.finished();
+  });
+  return finished;
+}
+
 SimTime ClientSystem::job_finish_time(JobId job) const {
   SimTime latest = SimTime::zero();
-  for (const auto& process : processes_) {
-    if (process->config().job != job || !process->finished()) continue;
-    latest = std::max(latest, process->finish_time());
-  }
+  for_each_process_of(job, [&](const ProcessStream& process) {
+    if (process.finished()) latest = std::max(latest, process.finish_time());
+  });
   return latest;
 }
 
 void ClientSystem::route_completion(const RpcCompletion& completion) {
-  auto it = inflight_routes_.find(completion.rpc.id);
-  ADAPTBF_CHECK_MSG(it != inflight_routes_.end(),
-                    "completion for unrouted RPC id");
-  ProcessStream* process = it->second;
-  inflight_routes_.erase(it);
+  ADAPTBF_CHECK_MSG(completion.rpc.route < processes_.size(),
+                    "completion for unrouted RPC");
+  ProcessStream* process = processes_[completion.rpc.route].get();
   if (response_latency_ > SimDuration(0)) {
     sim_.schedule_after(response_latency_, [process, completion] {
       process->on_completion(completion);

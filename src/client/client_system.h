@@ -3,16 +3,17 @@
 // One ClientSystem per experiment. It assigns processes to client nodes
 // (NIDs), provides the global RPC id counter, registers itself as a
 // completion hook on every OST, and demultiplexes completions back to the
-// issuing ProcessStream by RPC id.
+// issuing ProcessStream by the process index each RPC carries
+// (Rpc::route): one array access, no per-RPC bookkeeping.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "client/process_stream.h"
 #include "ost/ost.h"
+#include "rpc/job_slots.h"
 #include "rpc/rpc.h"
 #include "sim/simulator.h"
 
@@ -45,6 +46,10 @@ class ClientSystem {
   /// True when every process has completed its pattern.
   [[nodiscard]] bool all_finished() const;
 
+  /// True when every process of `job` has completed (vacuously for a job
+  /// with no processes).
+  [[nodiscard]] bool job_finished(JobId job) const;
+
   /// Latest finish time across processes of `job`; SimTime::zero() if the
   /// job has no finished process yet.
   [[nodiscard]] SimTime job_finish_time(JobId job) const;
@@ -52,11 +57,19 @@ class ClientSystem {
  private:
   void route_completion(const RpcCompletion& completion);
 
+  /// Calls fn(process) for every process of `job`; the per-job chains
+  /// below make that O(processes of the job).
+  template <typename Fn>
+  void for_each_process_of(JobId job, Fn&& fn) const;
+
   Simulator& sim_;
   SimDuration response_latency_{0};
-  std::vector<std::unique_ptr<ProcessStream>> processes_;
-  /// rpc id -> issuing process (entries removed on completion).
-  std::unordered_map<std::uint64_t, ProcessStream*> inflight_routes_;
+  std::vector<std::unique_ptr<ProcessStream>> processes_;  ///< By route.
+  JobSlots job_slots_;
+  /// By job slot: the job's most recently added process (its route).
+  std::vector<std::uint32_t> last_of_job_;
+  /// By route: the previously added process of the same job, or kNone.
+  std::vector<std::uint32_t> previous_of_job_;
   std::uint64_t next_rpc_id_ = 1;
 };
 

@@ -8,14 +8,14 @@ namespace adaptbf {
 
 ProcessStream::ProcessStream(Simulator& sim, Ost& ost, Config config,
                              std::unique_ptr<IoPattern> pattern,
-                             std::function<std::uint64_t()> next_rpc_id)
+                             std::uint64_t& next_rpc_id, std::uint32_t route)
     : sim_(sim),
       ost_(ost),
       config_(config),
       pattern_(std::move(pattern)),
-      next_rpc_id_(std::move(next_rpc_id)) {
+      next_rpc_id_(next_rpc_id),
+      route_(route) {
   ADAPTBF_CHECK(pattern_ != nullptr);
-  ADAPTBF_CHECK(next_rpc_id_ != nullptr);
   ADAPTBF_CHECK(config_.max_inflight > 0);
   ADAPTBF_CHECK(config_.rpc_size_bytes > 0);
   pattern_total_ = pattern_->total_rpcs();
@@ -38,7 +38,7 @@ void ProcessStream::schedule_next_release() {
 void ProcessStream::issue_available() {
   while (available_ > 0 && inflight_ < config_.max_inflight) {
     Rpc rpc;
-    rpc.id = next_rpc_id_();
+    rpc.id = next_rpc_id_++;
     rpc.job = config_.job;
     rpc.nid = config_.nid;
     rpc.opcode = config_.opcode;
@@ -46,6 +46,7 @@ void ProcessStream::issue_available() {
     rpc.size_bytes = config_.rpc_size_bytes;
     rpc.issue_time = sim_.now();
     rpc.process = config_.process_index;
+    rpc.route = route_;
     --available_;
     ++issued_;
     ++inflight_;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "client/io_pattern.h"
@@ -35,10 +34,12 @@ class ProcessStream {
     SimDuration network_latency{0};
   };
 
-  /// `next_rpc_id` supplies globally unique RPC ids (shared counter).
+  /// `next_rpc_id` is the counter handing out globally unique RPC ids,
+  /// shared by every process of one ClientSystem; `route` is stamped on
+  /// every RPC this process issues (see Rpc::route).
   ProcessStream(Simulator& sim, Ost& ost, Config config,
                 std::unique_ptr<IoPattern> pattern,
-                std::function<std::uint64_t()> next_rpc_id);
+                std::uint64_t& next_rpc_id, std::uint32_t route);
 
   /// Starts the pattern's release schedule. Call once before sim runs.
   void start();
@@ -65,7 +66,8 @@ class ProcessStream {
   Ost& ost_;
   Config config_;
   std::unique_ptr<IoPattern> pattern_;
-  std::function<std::uint64_t()> next_rpc_id_;
+  std::uint64_t& next_rpc_id_;
+  std::uint32_t route_;
   std::uint64_t pattern_total_ = 0;
   std::uint64_t available_ = 0;  ///< Released by the pattern, not yet issued.
   std::uint64_t issued_ = 0;

@@ -214,7 +214,8 @@ ExperimentResult run_experiment(const ScenarioSpec& spec,
   for (auto& controller : adaptive) controller->stop();
   if (gift) gift->stop();
 
-  // --- Summaries (cumulative stats summed across OSTs) ---
+  // --- Summaries (cumulative stats summed across OSTs; each job's
+  // completion state from its own processes only) ---
   for (const auto& job : spec.jobs) {
     JobSummary summary;
     summary.id = job.id;
@@ -227,19 +228,12 @@ ExperimentResult run_experiment(const ScenarioSpec& spec,
       summary.rpcs_completed += cumulative->rpcs_completed;
       summary.bytes_completed += cumulative->bytes_completed;
     }
-    bool all_done = true;
-    for (const auto& process : clients.processes()) {
-      if (process->config().job != job.id) continue;
-      if (!process->finished()) {
-        all_done = false;
-        break;
-      }
-    }
-    summary.finished = all_done;
-    if (all_done) summary.finish_time = clients.job_finish_time(job.id);
-    const SimTime span = all_done && summary.finish_time > SimTime::zero()
-                             ? summary.finish_time
-                             : result.horizon;
+    summary.finished = clients.job_finished(job.id);
+    if (summary.finished) summary.finish_time = clients.job_finish_time(job.id);
+    const SimTime span =
+        summary.finished && summary.finish_time > SimTime::zero()
+            ? summary.finish_time
+            : result.horizon;
     summary.mean_mibps = result.timeline.mean_mibps(job.id, span);
     result.jobs.push_back(std::move(summary));
   }

@@ -5,7 +5,9 @@
 namespace adaptbf {
 
 void LatencyStats::record(const RpcCompletion& completion) {
-  auto& samples = samples_[completion.rpc.job];
+  const std::uint32_t slot = slots_.insert(completion.rpc.job);
+  if (slot == samples_.size()) samples_.emplace_back();
+  Samples& samples = samples_[slot];
   samples.total_ms.push_back(completion.latency().to_seconds() * 1e3);
   samples.queue_ms.push_back(completion.queue_delay().to_seconds() * 1e3);
 }
@@ -24,35 +26,39 @@ LatencySummary LatencyStats::summarize(const std::vector<double>& values) {
   return summary;
 }
 
+const LatencyStats::Samples* LatencyStats::find(JobId job) const {
+  const std::uint32_t slot = slots_.find(job);
+  return slot == JobSlots::kNone ? nullptr : &samples_[slot];
+}
+
 LatencySummary LatencyStats::total_latency(JobId job) const {
-  auto it = samples_.find(job);
-  return it == samples_.end() ? LatencySummary{}
-                              : summarize(it->second.total_ms);
+  const Samples* samples = find(job);
+  return samples == nullptr ? LatencySummary{} : summarize(samples->total_ms);
 }
 
 LatencySummary LatencyStats::queue_delay(JobId job) const {
-  auto it = samples_.find(job);
-  return it == samples_.end() ? LatencySummary{}
-                              : summarize(it->second.queue_ms);
+  const Samples* samples = find(job);
+  return samples == nullptr ? LatencySummary{} : summarize(samples->queue_ms);
 }
 
 LatencySummary LatencyStats::total_latency_all() const {
   std::vector<double> all;
-  for (const auto& [job, samples] : samples_)
-    all.insert(all.end(), samples.total_ms.begin(), samples.total_ms.end());
+  for (std::uint32_t slot : slots_.ascending())
+    all.insert(all.end(), samples_[slot].total_ms.begin(),
+               samples_[slot].total_ms.end());
   return summarize(all);
 }
 
 std::vector<JobId> LatencyStats::jobs() const {
   std::vector<JobId> ids;
-  ids.reserve(samples_.size());
-  for (const auto& [job, samples] : samples_) ids.push_back(job);
-  return ids;  // std::map keeps ids sorted already.
+  ids.reserve(slots_.size());
+  for (std::uint32_t slot : slots_.ascending()) ids.push_back(slots_.job(slot));
+  return ids;
 }
 
 std::size_t LatencyStats::samples(JobId job) const {
-  auto it = samples_.find(job);
-  return it == samples_.end() ? 0 : it->second.total_ms.size();
+  const Samples* samples = find(job);
+  return samples == nullptr ? 0 : samples->total_ms.size();
 }
 
 }  // namespace adaptbf

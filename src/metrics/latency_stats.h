@@ -7,9 +7,9 @@
 // per-job queue-delay and total-latency samples and reports percentiles.
 #pragma once
 
-#include <map>
 #include <vector>
 
+#include "rpc/job_slots.h"
 #include "rpc/rpc.h"
 #include "sim/time.h"
 
@@ -48,11 +48,14 @@ class LatencyStats {
     std::vector<double> queue_ms;
   };
   static LatencySummary summarize(const std::vector<double>& values);
+  [[nodiscard]] const Samples* find(JobId job) const;
 
-  // Ordered map: total_latency_all() folds samples across jobs and
-  // floating-point accumulation is rounding-order-sensitive — iteration
-  // order must not depend on hash layout (lint: unordered-output).
-  std::map<JobId, Samples> samples_;
+  // Per-slot storage. total_latency_all() folds samples across jobs and
+  // floating-point accumulation is rounding-order-sensitive, so every
+  // cross-job walk goes through slots_.ascending(), never slot order
+  // (lint: unordered-output).
+  JobSlots slots_;
+  std::vector<Samples> samples_;  ///< By job slot.
 };
 
 }  // namespace adaptbf

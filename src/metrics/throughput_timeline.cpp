@@ -15,12 +15,20 @@ std::size_t ThroughputTimeline::bin_index(SimTime when) const {
   return static_cast<std::size_t>(when.ns() / bin_width_.ns());
 }
 
+const ThroughputTimeline::JobBins* ThroughputTimeline::find(JobId job) const {
+  const std::uint32_t slot = slots_.find(job);
+  return slot == JobSlots::kNone ? nullptr : &jobs_[slot];
+}
+
 void ThroughputTimeline::record(JobId job, std::uint32_t bytes, SimTime when) {
-  auto& bins = bytes_per_bin_[job];
+  const std::uint32_t slot = slots_.insert(job);
+  if (slot == jobs_.size()) jobs_.emplace_back();
+  JobBins& entry = jobs_[slot];
+  auto& bins = entry.bytes_per_bin;
   const std::size_t index = bin_index(when);
   if (bins.size() <= index) bins.resize(index + 1, 0);
   bins[index] += bytes;
-  totals_[job] += bytes;
+  entry.total += bytes;
 }
 
 std::vector<double> ThroughputTimeline::series_mibps(JobId job,
@@ -29,11 +37,12 @@ std::vector<double> ThroughputTimeline::series_mibps(JobId job,
       static_cast<std::size_t>(horizon.ns() / bin_width_.ns()) +
       (horizon.ns() % bin_width_.ns() != 0 ? 1u : 0u);
   std::vector<double> series(bins, 0.0);
-  auto it = bytes_per_bin_.find(job);
-  if (it == bytes_per_bin_.end()) return series;
+  const JobBins* entry = find(job);
+  if (entry == nullptr) return series;
+  const auto& job_bins = entry->bytes_per_bin;
   const double bin_sec = bin_width_.to_seconds();
-  for (std::size_t i = 0; i < bins && i < it->second.size(); ++i)
-    series[i] = to_mib(it->second[i]) / bin_sec;
+  for (std::size_t i = 0; i < bins && i < job_bins.size(); ++i)
+    series[i] = to_mib(job_bins[i]) / bin_sec;
   return series;
 }
 
@@ -43,20 +52,22 @@ std::vector<double> ThroughputTimeline::aggregate_mibps(SimTime horizon) const {
       (horizon.ns() % bin_width_.ns() != 0 ? 1u : 0u);
   std::vector<double> series(bins, 0.0);
   const double bin_sec = bin_width_.to_seconds();
-  for (const auto& [job, job_bins] : bytes_per_bin_)
+  for (std::uint32_t slot : slots_.ascending()) {
+    const auto& job_bins = jobs_[slot].bytes_per_bin;
     for (std::size_t i = 0; i < bins && i < job_bins.size(); ++i)
       series[i] += to_mib(job_bins[i]) / bin_sec;
+  }
   return series;
 }
 
 std::uint64_t ThroughputTimeline::total_bytes(JobId job) const {
-  auto it = totals_.find(job);
-  return it == totals_.end() ? 0 : it->second;
+  const JobBins* entry = find(job);
+  return entry == nullptr ? 0 : entry->total;
 }
 
 std::uint64_t ThroughputTimeline::total_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [job, bytes] : totals_) total += bytes;
+  for (const JobBins& entry : jobs_) total += entry.total;
   return total;
 }
 
@@ -72,9 +83,9 @@ double ThroughputTimeline::aggregate_mean_mibps(SimTime horizon) const {
 
 std::vector<JobId> ThroughputTimeline::jobs() const {
   std::vector<JobId> ids;
-  ids.reserve(bytes_per_bin_.size());
-  for (const auto& [job, bins] : bytes_per_bin_) ids.push_back(job);
-  return ids;  // std::map keeps ids sorted already.
+  ids.reserve(slots_.size());
+  for (std::uint32_t slot : slots_.ascending()) ids.push_back(slots_.job(slot));
+  return ids;
 }
 
 }  // namespace adaptbf

@@ -6,9 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "rpc/job_slots.h"
 #include "rpc/rpc.h"
 #include "sim/time.h"
 
@@ -40,13 +40,19 @@ class ThroughputTimeline {
   [[nodiscard]] SimDuration bin_width() const { return bin_width_; }
 
  private:
+  struct JobBins {
+    std::vector<std::uint64_t> bytes_per_bin;
+    std::uint64_t total = 0;
+  };
   [[nodiscard]] std::size_t bin_index(SimTime when) const;
+  [[nodiscard]] const JobBins* find(JobId job) const;
 
-  // Ordered maps: aggregate_mibps() sums doubles across jobs, so the
-  // fold order must not depend on hash layout (lint: unordered-output).
+  // Per-slot storage. aggregate_mibps() sums doubles across jobs, so every
+  // cross-job walk goes through slots_.ascending(), never slot order
+  // (lint: unordered-output).
   SimDuration bin_width_;
-  std::map<JobId, std::vector<std::uint64_t>> bytes_per_bin_;
-  std::map<JobId, std::uint64_t> totals_;
+  JobSlots slots_;
+  std::vector<JobBins> jobs_;  ///< By job slot.
 };
 
 }  // namespace adaptbf

@@ -1,46 +1,52 @@
 #include "ost/job_stats.h"
 
-#include <algorithm>
-
 namespace adaptbf {
 
+JobStatsTracker::Entry& JobStatsTracker::entry(JobId job) {
+  const std::uint32_t slot = slots_.insert(job);
+  if (slot == entries_.size()) entries_.push_back(Entry{{job, 0, 0}, {}});
+  return entries_[slot];
+}
+
 void JobStatsTracker::record_arrival(const Rpc& rpc) {
-  auto& w = window_[rpc.job];
-  w.job = rpc.job;
-  ++w.rpcs;
-  w.bytes += rpc.size_bytes;
-  auto& c = cumulative_[rpc.job];
-  ++c.rpcs_issued;
-  c.bytes_issued += rpc.size_bytes;
+  Entry& e = entry(rpc.job);
+  ++e.window.rpcs;
+  e.window.bytes += rpc.size_bytes;
+  ++e.cumulative.rpcs_issued;
+  e.cumulative.bytes_issued += rpc.size_bytes;
 }
 
 void JobStatsTracker::record_completion(const Rpc& rpc) {
-  auto& c = cumulative_[rpc.job];
-  ++c.rpcs_completed;
-  c.bytes_completed += rpc.size_bytes;
+  Entry& e = entry(rpc.job);
+  ++e.cumulative.rpcs_completed;
+  e.cumulative.bytes_completed += rpc.size_bytes;
 }
 
 std::vector<JobWindowStats> JobStatsTracker::window_snapshot() const {
   std::vector<JobWindowStats> jobs;
-  jobs.reserve(window_.size());
-  for (const auto& [job, stats] : window_) jobs.push_back(stats);
-  std::sort(jobs.begin(), jobs.end(),
-            [](const auto& a, const auto& b) { return a.job < b.job; });
+  window_snapshot(jobs);
   return jobs;
 }
 
-void JobStatsTracker::clear_window() { window_.clear(); }
+void JobStatsTracker::window_snapshot(std::vector<JobWindowStats>& out) const {
+  out.clear();
+  for (std::uint32_t slot : slots_.ascending())
+    if (entries_[slot].window.rpcs > 0) out.push_back(entries_[slot].window);
+}
+
+void JobStatsTracker::clear_window() {
+  for (Entry& e : entries_) e.window.rpcs = e.window.bytes = 0;
+}
 
 const JobCumulativeStats* JobStatsTracker::cumulative(JobId job) const {
-  auto it = cumulative_.find(job);
-  return it == cumulative_.end() ? nullptr : &it->second;
+  const std::uint32_t slot = slots_.find(job);
+  return slot == JobSlots::kNone ? nullptr : &entries_[slot].cumulative;
 }
 
 std::vector<JobId> JobStatsTracker::jobs_ever_seen() const {
   std::vector<JobId> jobs;
-  jobs.reserve(cumulative_.size());
-  for (const auto& [job, stats] : cumulative_) jobs.push_back(job);
-  std::sort(jobs.begin(), jobs.end());
+  jobs.reserve(slots_.size());
+  for (std::uint32_t slot : slots_.ascending()) jobs.push_back(slots_.job(slot));
   return jobs;
 }
 

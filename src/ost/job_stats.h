@@ -4,12 +4,16 @@
 // learn each job's I/O demand d (eq. 3: RPCs issued to the target during the
 // window) and clears it afterwards (§III-B, steps 1 and 9 in Fig. 2).
 // Cumulative counters are kept separately for end-of-run reporting.
+//
+// Both live in one flat array indexed by the job's dense slot, so an RPC
+// costs one slot lookup and clearing a window zeroes counters in place
+// instead of freeing entries the next window allocates again.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "rpc/job_slots.h"
 #include "rpc/rpc.h"
 
 namespace adaptbf {
@@ -38,6 +42,8 @@ class JobStatsTracker {
   /// Jobs active in the current window (>= 1 RPC arrival), in ascending
   /// JobId order for determinism. Does not clear.
   [[nodiscard]] std::vector<JobWindowStats> window_snapshot() const;
+  /// The same, into `out` (cleared first), reusing its storage.
+  void window_snapshot(std::vector<JobWindowStats>& out) const;
 
   /// Clears the window counters (the controller's step 9).
   void clear_window();
@@ -46,8 +52,14 @@ class JobStatsTracker {
   [[nodiscard]] std::vector<JobId> jobs_ever_seen() const;
 
  private:
-  std::unordered_map<JobId, JobWindowStats> window_;
-  std::unordered_map<JobId, JobCumulativeStats> cumulative_;
+  struct Entry {
+    JobWindowStats window;
+    JobCumulativeStats cumulative;
+  };
+  Entry& entry(JobId job);
+
+  JobSlots slots_;
+  std::vector<Entry> entries_;  ///< By job slot.
 };
 
 }  // namespace adaptbf

@@ -11,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ost/disk_model.h"
@@ -39,6 +38,9 @@ class Ost {
   /// rule management (see TbfScheduler).
   Ost(Simulator& sim, Config config,
       std::unique_ptr<RequestScheduler> scheduler);
+  // The disk's completion sink and scheduled wakeups hold `this`.
+  Ost(const Ost&) = delete;
+  Ost& operator=(const Ost&) = delete;
 
   /// Client-facing entry point: hand an RPC to the server at sim.now().
   void submit(const Rpc& rpc);
@@ -60,12 +62,15 @@ class Ost {
   [[nodiscard]] std::uint64_t completed_bytes() const {
     return completed_bytes_;
   }
-  [[nodiscard]] std::uint32_t busy_threads() const { return busy_threads_; }
+  [[nodiscard]] std::uint32_t busy_threads() const {
+    return config_.num_threads -
+           static_cast<std::uint32_t>(idle_threads_.size());
+  }
 
  private:
   /// Dispatches eligible RPCs onto free threads; arms a wakeup otherwise.
   void pump();
-  void on_disk_done(std::uint64_t tag);
+  void on_disk_done(std::uint64_t thread);
 
   Simulator& sim_;
   Config config_;
@@ -79,9 +84,11 @@ class Ost {
     Rpc rpc;
     SimTime start_service;
   };
-  std::unordered_map<std::uint64_t, InService> in_service_;
+  /// The RPC each I/O thread is serving, indexed by thread; a thread's
+  /// index is also its transfer's tag on the disk.
+  std::vector<InService> in_service_;
+  std::vector<std::uint32_t> idle_threads_;
 
-  std::uint32_t busy_threads_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t completed_bytes_ = 0;
   /// Pending scheduler wakeup; goes stale automatically once it fires, so

@@ -1,8 +1,8 @@
 #include "ost/ps_disk.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
-#include <vector>
 
 #include "support/check.h"
 
@@ -14,9 +14,13 @@ namespace {
 constexpr double kCompletionSlack = 1e-3;
 }  // namespace
 
-PsDisk::PsDisk(Simulator& sim, double bandwidth)
-    : sim_(sim), bandwidth_(bandwidth), last_update_(sim.now()) {
+PsDisk::PsDisk(Simulator& sim, double bandwidth, DoneFn done)
+    : sim_(sim),
+      bandwidth_(bandwidth),
+      done_(std::move(done)),
+      last_update_(sim.now()) {
   ADAPTBF_CHECK_MSG(bandwidth > 0.0, "disk bandwidth must be positive");
+  ADAPTBF_CHECK(done_ != nullptr);
 }
 
 void PsDisk::advance_to(SimTime now) {
@@ -24,7 +28,7 @@ void PsDisk::advance_to(SimTime now) {
   if (!active_.empty() && now > last_update_) {
     const double share = bandwidth_ * (now - last_update_).to_seconds() /
                          static_cast<double>(active_.size());
-    for (auto& [tag, transfer] : active_) {
+    for (Transfer& transfer : active_) {
       const double progressed = std::min(transfer.remaining, share);
       transfer.remaining -= progressed;
       work_completed_ += progressed;
@@ -36,10 +40,9 @@ void PsDisk::advance_to(SimTime now) {
 void PsDisk::arm_completion() {
   sim_.cancel(pending_event_);  // no-op when unarmed or already fired
   if (active_.empty()) return;
-  double min_remaining = -1.0;
-  for (const auto& [tag, transfer] : active_)
-    if (min_remaining < 0.0 || transfer.remaining < min_remaining)
-      min_remaining = transfer.remaining;
+  double min_remaining = active_.front().remaining;
+  for (const Transfer& transfer : active_)
+    min_remaining = std::min(min_remaining, transfer.remaining);
   const double wait_sec = std::max(0.0, min_remaining) *
                           static_cast<double>(active_.size()) / bandwidth_;
   const auto wait =
@@ -49,31 +52,34 @@ void PsDisk::arm_completion() {
 
 void PsDisk::on_completion() {
   advance_to(sim_.now());
-  // Collect everything done; ties resolve in admission order.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> done;  // (seq, tag)
-  for (const auto& [tag, transfer] : active_)
-    if (transfer.remaining <= kCompletionSlack)
-      done.emplace_back(transfer.admit_seq, tag);
-  std::sort(done.begin(), done.end());
-  std::vector<std::pair<std::uint64_t, DoneFn>> callbacks;
-  callbacks.reserve(done.size());
-  for (const auto& [seq, tag] : done) {
-    auto it = active_.find(tag);
-    work_completed_ += it->second.remaining;  // count the slack
-    callbacks.emplace_back(tag, std::move(it->second.done));
-    active_.erase(it);
+  // Collect everything done, in admission order (ties resolve that way),
+  // and close the gaps they leave.
+  finished_.clear();
+  std::size_t kept = 0;
+  for (const Transfer& transfer : active_) {
+    if (transfer.remaining <= kCompletionSlack) {
+      work_completed_ += transfer.remaining;  // count the slack
+      finished_.push_back(transfer.tag);
+    } else {
+      active_[kept++] = transfer;
+    }
   }
+  active_.resize(kept);
   // Re-arm before running callbacks: callbacks typically admit new work,
-  // and admit() re-arms again with the updated active set.
+  // and admit() re-arms again with the updated active set. They never
+  // complete transfers synchronously, so finished_ is stable here.
   arm_completion();
-  for (auto& [tag, fn] : callbacks) fn(tag);
+  for (std::uint64_t tag : finished_) done_(tag);
 }
 
-void PsDisk::admit(std::uint64_t tag, double work_bytes, DoneFn done) {
+void PsDisk::admit(std::uint64_t tag, double work_bytes) {
   ADAPTBF_CHECK_MSG(work_bytes > 0.0, "transfer work must be positive");
-  ADAPTBF_CHECK_MSG(!active_.contains(tag), "duplicate active transfer tag");
+  ADAPTBF_CHECK_MSG(
+      std::none_of(active_.begin(), active_.end(),
+                   [tag](const Transfer& t) { return t.tag == tag; }),
+      "duplicate active transfer tag");
   advance_to(sim_.now());
-  active_.emplace(tag, Transfer{work_bytes, admit_counter_++, std::move(done)});
+  active_.push_back(Transfer{tag, work_bytes});
   arm_completion();
 }
 

@@ -6,11 +6,16 @@
 // shared SSD. Progress is integrated lazily between events; one pending
 // completion event is kept armed for the transfer that will finish first.
 // Deterministic: ties complete in admission order.
+//
+// Active transfers sit in a flat array in admission order (the device holds
+// at most one per I/O thread), and every completion goes to one sink given
+// at construction, so admitting and completing a transfer allocates nothing
+// once the arrays have reached the OST's thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "sim/simulator.h"
 
@@ -20,12 +25,13 @@ class PsDisk {
  public:
   using DoneFn = std::function<void(std::uint64_t tag)>;
 
-  /// `bandwidth` in work-bytes/second (see DiskModel::work_bytes).
-  PsDisk(Simulator& sim, double bandwidth);
+  /// `bandwidth` in work-bytes/second (see DiskModel::work_bytes); `done`
+  /// is called with a transfer's tag when it completes.
+  PsDisk(Simulator& sim, double bandwidth, DoneFn done);
 
-  /// Admits a transfer of `work_bytes` (> 0); `done` fires at completion.
-  /// `tag` must be unique among active transfers.
-  void admit(std::uint64_t tag, double work_bytes, DoneFn done);
+  /// Admits a transfer of `work_bytes` (> 0). `tag` must be unique among
+  /// active transfers.
+  void admit(std::uint64_t tag, double work_bytes);
 
   [[nodiscard]] std::size_t active() const { return active_.size(); }
   [[nodiscard]] double bandwidth() const { return bandwidth_; }
@@ -35,9 +41,8 @@ class PsDisk {
 
  private:
   struct Transfer {
+    std::uint64_t tag;
     double remaining;
-    std::uint64_t admit_seq;
-    DoneFn done;
   };
 
   /// Integrates progress from last_update_ to now.
@@ -48,12 +53,14 @@ class PsDisk {
 
   Simulator& sim_;
   double bandwidth_;
+  DoneFn done_;
   double work_completed_ = 0.0;
-  std::map<std::uint64_t, Transfer> active_;  // ordered => deterministic scan
+  std::vector<Transfer> active_;  ///< Admission order.
+  /// Tags finishing in the current completion event (reused scratch).
+  std::vector<std::uint64_t> finished_;
   SimTime last_update_;
   /// Armed completion event; stale (and safely cancellable) once fired.
   EventHandle pending_event_;
-  std::uint64_t admit_counter_ = 0;
 };
 
 }  // namespace adaptbf

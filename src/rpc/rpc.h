@@ -67,6 +67,9 @@ struct Rpc {
   std::uint32_t size_bytes = 0;  ///< Bulk payload size (1 MiB typical).
   SimTime issue_time;            ///< When the client handed it to the server.
   std::uint32_t process = 0;     ///< Issuing process index within the job.
+  /// Issuing process's index in its ClientSystem, which routes the
+  /// completion back by it.
+  std::uint32_t route = 0;
 };
 
 /// Completion record the OST reports to metrics and back to the client.

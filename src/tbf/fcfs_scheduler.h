@@ -6,8 +6,7 @@
 // bandwidth-hogging problem that motivates the paper).
 #pragma once
 
-#include <deque>
-
+#include "support/ring_queue.h"
 #include "tbf/scheduler.h"
 
 namespace adaptbf {
@@ -20,7 +19,7 @@ class FcfsScheduler final : public RequestScheduler {
   [[nodiscard]] std::size_t backlog() const override { return queue_.size(); }
 
  private:
-  std::deque<Rpc> queue_;
+  RingQueue<Rpc> queue_;
 };
 
 }  // namespace adaptbf

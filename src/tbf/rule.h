@@ -33,6 +33,13 @@ class RpcMatcher {
 
   [[nodiscard]] bool matches(const Rpc& rpc) const;
   [[nodiscard]] bool is_wildcard() const;
+  /// True when the matcher constrains the JobID only: it matches exactly
+  /// the RPCs whose job is in jobs(). The scheduler indexes such rules by
+  /// job instead of testing them against every arrival.
+  [[nodiscard]] bool is_job_only() const {
+    return !jobs_.empty() && nids_.empty() && opcodes_.empty();
+  }
+  [[nodiscard]] const std::vector<JobId>& jobs() const { return jobs_; }
 
   /// Human-readable expression ("jobid={3} & opcode={ost_write}").
   [[nodiscard]] std::string to_string() const;

@@ -90,7 +90,8 @@ struct ScenarioSpec {
   /// Framework processing cost per cycle (§IV-G measures ~25 ms): rules
   /// computed for a window take effect this long after it closes.
   SimDuration controller_apply_latency{0};
-  /// Ablation switches forwarded to the allocator (DESIGN.md §4).
+  /// Ablation switches forwarded to the allocator (docs/architecture.md,
+  /// "Model deviations").
   bool enable_redistribution = true;
   bool enable_recompensation = true;
   bool enable_remainders = true;

@@ -1,6 +1,8 @@
-// Property-based sweeps over randomized workload traces: the invariants in
-// DESIGN.md §2 must hold for *every* demand pattern, job mix and budget,
-// not just the hand-picked unit-test cases.
+// Property-based sweeps over randomized workload traces: the allocator's
+// invariants (token conservation, zero-sum records, bounded remainders,
+// reclaim bounds; see docs/architecture.md, "Model deviations") must hold
+// for *every* demand pattern, job mix and budget, not just the hand-picked
+// unit-test cases.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "support/stats.h"
+
 namespace adaptbf {
 namespace {
 
@@ -76,6 +81,50 @@ TEST(LatencyStats, JobsListedSorted) {
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0], JobId(3));
   EXPECT_EQ(jobs[1], JobId(7));
+}
+
+RpcCompletion completion_ns(std::uint32_t job, std::int64_t latency_ns) {
+  RpcCompletion c;
+  c.rpc.job = JobId(job);
+  c.start_service = SimTime::zero();
+  c.end_service = SimTime(latency_ns);
+  return c;
+}
+
+TEST(LatencyStats, SparseJobIdsFoldInAscendingOrder) {
+  // Jobs first seen as 4000000000, 7, 3. total_latency_all() must pool
+  // the samples job by job in ascending JobId order: the mean below is
+  // rounding-order-sensitive, and first-seen order gives another value.
+  const std::vector<std::pair<std::uint32_t, std::int64_t>> samples = {
+      {4000000000u, 671862057},    {7, 533738179690749},
+      {3, 649562111998},           {4000000000u, 623685183},
+      {3, 144071367499},
+  };
+  LatencyStats stats;
+  for (const auto& [job, ns] : samples) stats.record(completion_ns(job, ns));
+
+  EXPECT_EQ(stats.jobs(),
+            (std::vector<JobId>{JobId(3), JobId(7), JobId(4000000000u)}));
+  auto fold = [&](std::initializer_list<std::uint32_t> order) {
+    std::vector<double> pooled;
+    for (std::uint32_t job : order)
+      for (const auto& [sample_job, ns] : samples)
+        if (sample_job == job)
+          pooled.push_back(SimDuration(ns).to_seconds() * 1e3);
+    StreamingStats acc;
+    for (double v : pooled) acc.add(v);
+    return std::pair{acc.mean(), percentile(pooled, 50.0)};
+  };
+  const auto ascending = fold({3, 7, 4000000000u});
+  const auto first_seen = fold({4000000000u, 7, 3});
+  ASSERT_NE(ascending.first, first_seen.first);  // the check has teeth
+  const auto all = stats.total_latency_all();
+  EXPECT_EQ(all.samples, 5u);
+  EXPECT_EQ(all.mean_ms, ascending.first);
+  EXPECT_EQ(all.p50_ms, ascending.second);
+  EXPECT_EQ(stats.samples(JobId(3)), 2u);
+  EXPECT_EQ(stats.total_latency(JobId(7)).samples, 1u);
+  EXPECT_EQ(stats.queue_delay(JobId(4000000000u)).samples, 2u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/units.h"
 
 namespace adaptbf {
@@ -80,6 +82,30 @@ TEST(ThroughputTimeline, HorizonPartialBinCounts) {
   timeline.record(JobId(1), 1024, at_ms(149));
   // Horizon 150 ms spans 1.5 bins -> 2 bins reported.
   EXPECT_EQ(timeline.series_mibps(JobId(1), at_ms(150)).size(), 2u);
+}
+
+TEST(ThroughputTimeline, SparseJobIdsFoldInAscendingOrder) {
+  // Jobs first seen as 4000000000, 7, 3, all in bin 0 of a 700 ms bin.
+  // The aggregate must add them in ascending JobId order; first-seen order
+  // rounds differently for these byte counts.
+  const double bin_sec = 0.7;
+  ThroughputTimeline timeline(SimDuration::millis(700));
+  timeline.record(JobId(4000000000u), 3118284130u, at_ms(1));
+  timeline.record(JobId(7), 861109026u, at_ms(2));
+  timeline.record(JobId(3), 622714793u, at_ms(3));
+  const double v3 = to_mib(622714793u) / bin_sec;
+  const double v7 = to_mib(861109026u) / bin_sec;
+  const double v4e9 = to_mib(3118284130u) / bin_sec;
+  const double ascending = ((0.0 + v3) + v7) + v4e9;
+  ASSERT_NE(ascending, ((0.0 + v4e9) + v7) + v3);  // the check has teeth
+  const auto aggregate = timeline.aggregate_mibps(at_ms(700));
+  ASSERT_EQ(aggregate.size(), 1u);
+  EXPECT_EQ(aggregate[0], ascending);
+  EXPECT_EQ(timeline.jobs(),
+            (std::vector<JobId>{JobId(3), JobId(7), JobId(4000000000u)}));
+  EXPECT_EQ(timeline.total_bytes(JobId(7)), 861109026u);
+  EXPECT_EQ(timeline.total_bytes(),
+            3118284130ull + 861109026ull + 622714793ull);
 }
 
 }  // namespace

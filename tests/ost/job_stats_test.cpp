@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace adaptbf {
 namespace {
 
@@ -88,6 +90,60 @@ TEST(JobStatsTracker, BytesAccumulateInCumulative) {
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->bytes_issued, 300u);
   EXPECT_EQ(c->bytes_completed, 100u);
+}
+
+TEST(JobStatsTracker, SparseOutOfOrderJobIdsComeOutAscending) {
+  // Per-job counters live in slots assigned in first-seen order; every
+  // listing must still ascend by JobId, window after window.
+  JobStatsTracker tracker;
+  for (std::uint32_t job : {4000000000u, 7u, 3u, 7u, 4000000000u})
+    tracker.record_arrival(make_rpc(job, job % 1000));
+  auto snapshot = tracker.window_snapshot();
+  ASSERT_EQ(snapshot.size(), 3u);
+  EXPECT_EQ(snapshot[0].job, JobId(3));
+  EXPECT_EQ(snapshot[1].job, JobId(7));
+  EXPECT_EQ(snapshot[2].job, JobId(4000000000u));
+  EXPECT_EQ(snapshot[1].rpcs, 2u);
+  EXPECT_EQ(snapshot[2].bytes, 2u * (4000000000u % 1000));
+
+  // Next window: a new, smaller JobId and one old job; the job absent
+  // from this window is left out, the reused buffer is overwritten.
+  tracker.clear_window();
+  tracker.record_completion(make_rpc(5));  // completions open no window
+  tracker.record_arrival(make_rpc(4000000000u));
+  tracker.record_arrival(make_rpc(1));
+  tracker.window_snapshot(snapshot);
+  ASSERT_EQ(snapshot.size(), 2u);
+  EXPECT_EQ(snapshot[0].job, JobId(1));
+  EXPECT_EQ(snapshot[0].rpcs, 1u);
+  EXPECT_EQ(snapshot[1].job, JobId(4000000000u));
+  EXPECT_EQ(snapshot[1].rpcs, 1u);
+
+  const auto jobs = tracker.jobs_ever_seen();
+  EXPECT_EQ(jobs, (std::vector<JobId>{JobId(1), JobId(3), JobId(5), JobId(7),
+                                      JobId(4000000000u)}));
+  ASSERT_NE(tracker.cumulative(JobId(7)), nullptr);
+  EXPECT_EQ(tracker.cumulative(JobId(7))->rpcs_issued, 2u);
+  EXPECT_EQ(tracker.cumulative(JobId(5))->rpcs_issued, 0u);
+  EXPECT_EQ(tracker.cumulative(JobId(5))->rpcs_completed, 1u);
+  EXPECT_EQ(tracker.cumulative(JobId(8)), nullptr);
+}
+
+TEST(JobStatsTracker, ManyJobsKeepTheirCounters) {
+  // Enough jobs to grow the slot index several times over.
+  JobStatsTracker tracker;
+  for (std::uint32_t round = 0; round < 3; ++round)
+    for (std::uint32_t i = 0; i < 1000; ++i)
+      tracker.record_arrival(make_rpc(i * 2654435761u % 100003u + round));
+  const auto snapshot = tracker.window_snapshot();
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    total += snapshot[i].rpcs;
+    if (i > 0) {
+      EXPECT_LT(snapshot[i - 1].job, snapshot[i].job);
+    }
+  }
+  EXPECT_EQ(total, 3000u);
 }
 
 }  // namespace

@@ -22,11 +22,13 @@ class PsDiskPropertyTest : public ::testing::TestWithParam<PsDiskFuzzParam> {};
 TEST_P(PsDiskPropertyTest, WorkConservationUnderRandomAdmissions) {
   const auto param = GetParam();
   Simulator sim;
-  PsDisk disk(sim, param.bandwidth);
+  int completions = 0;
+  PsDisk disk(sim, param.bandwidth, [&completions](std::uint64_t) {
+    ++completions;
+  });
   Xoshiro256 rng(param.seed);
 
   double total_work = 0.0;
-  int completions = 0;
   SimTime first_admit = SimTime::max();
   // Admit transfers at random times with random sizes.
   for (int i = 0; i < param.transfers; ++i) {
@@ -36,9 +38,8 @@ TEST_P(PsDiskPropertyTest, WorkConservationUnderRandomAdmissions) {
     const double work = 1.0 + rng.next_double() * 5000.0;
     total_work += work;
     first_admit = std::min(first_admit, when);
-    sim.schedule_at(when, [&disk, &completions, i, work] {
-      disk.admit(static_cast<std::uint64_t>(i), work,
-                 [&completions](std::uint64_t) { ++completions; });
+    sim.schedule_at(when, [&disk, i, work] {
+      disk.admit(static_cast<std::uint64_t>(i), work);
     });
   }
   sim.run_to_completion();
