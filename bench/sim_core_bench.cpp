@@ -11,7 +11,10 @@
 // --require-zero-alloc in CI). experiment_allocs_per_rpc is the same count
 // over whole run_experiment trials (wiring, model layers and metrics
 // included) divided by the RPCs they complete; CI holds it under the
-// ceiling in bench/sim_core_floor.json.
+// ceiling in bench/sim_core_floor.json. experiment_schedules_per_event is
+// events scheduled over events fired in those trials (1.0 would mean no
+// event is ever cancelled or replaced); CI holds it under its ceiling
+// there too.
 //
 // Usage: sim_core_bench [--events N] [--trials N] [--queue heap|calendar|both]
 //                       [--require-zero-alloc]
@@ -226,6 +229,7 @@ struct TrialResultStats {
   double trials_per_sec = 0.0;
   double events_per_sec = 0.0;
   double allocs_per_rpc = 0.0;
+  double schedules_per_event = 0.0;
 };
 
 TrialResultStats bench_trials(int trials, QueueBackend backend) {
@@ -239,12 +243,16 @@ TrialResultStats bench_trials(int trials, QueueBackend backend) {
   options.simulator = &sim;
   std::uint64_t events = 0;
   std::uint64_t rpcs = 0;
+  std::uint64_t scheduled = 0;
+  std::uint64_t fired = 0;
   (void)run_experiment(spec, options);  // warm-up
   const std::uint64_t allocations_before = allocations();
   const auto start = Clock::now();
   for (int i = 0; i < trials; ++i) {
     const auto result = run_experiment(spec, options);
     events += result.events_dispatched;
+    scheduled += result.queue_stats.scheduled;
+    fired += result.queue_stats.fired;
     for (const auto& job : result.jobs) rpcs += job.rpcs_completed;
   }
   const double elapsed = seconds_since(start);
@@ -254,6 +262,8 @@ TrialResultStats bench_trials(int trials, QueueBackend backend) {
   stats.events_per_sec = static_cast<double>(events) / elapsed;
   stats.allocs_per_rpc =
       static_cast<double>(allocation_delta) / static_cast<double>(rpcs);
+  stats.schedules_per_event =
+      static_cast<double>(scheduled) / static_cast<double>(fired);
   return stats;
 }
 
@@ -305,6 +315,8 @@ void print_series(const char* prefix, const BackendSeries& series,
               series.experiment.events_per_sec);
   std::printf("%sexperiment_allocs_per_rpc %.6f\n", prefix,
               series.experiment.allocs_per_rpc);
+  std::printf("%sexperiment_schedules_per_event %.6f\n", prefix,
+              series.experiment.schedules_per_event);
 }
 
 int run(int argc, char** argv) {

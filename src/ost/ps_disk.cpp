@@ -37,17 +37,13 @@ void PsDisk::advance_to(SimTime now) {
   last_update_ = now;
 }
 
-void PsDisk::arm_completion() {
-  sim_.cancel(pending_event_);  // no-op when unarmed or already fired
-  if (active_.empty()) return;
+SimDuration PsDisk::completion_wait() const {
   double min_remaining = active_.front().remaining;
   for (const Transfer& transfer : active_)
     min_remaining = std::min(min_remaining, transfer.remaining);
   const double wait_sec = std::max(0.0, min_remaining) *
                           static_cast<double>(active_.size()) / bandwidth_;
-  const auto wait =
-      SimDuration(static_cast<std::int64_t>(std::ceil(wait_sec * 1e9)));
-  pending_event_ = sim_.schedule_after(wait, [this] { on_completion(); });
+  return SimDuration(static_cast<std::int64_t>(std::ceil(wait_sec * 1e9)));
 }
 
 void PsDisk::on_completion() {
@@ -65,11 +61,20 @@ void PsDisk::on_completion() {
     }
   }
   active_.resize(kept);
-  // Re-arm before running callbacks: callbacks typically admit new work,
-  // and admit() re-arms again with the updated active set. They never
-  // complete transfers synchronously, so finished_ is stable here.
-  arm_completion();
+  // Arm once for the whole cohort, after its callbacks. Reserve where a
+  // re-arm per admission would have scheduled: here if work remains, and
+  // in every admit() the callbacks make. The last reservation is the one
+  // that arm would have kept; nothing is dispatched before the schedule
+  // below and only admissions change active_, so the event gets exactly
+  // that arm's (time, seq) key. Callbacks never complete transfers
+  // synchronously, so finished_ is stable here.
+  if (!active_.empty()) reserved_seq_ = sim_.reserve_seq();
+  completing_ = true;
   for (std::uint64_t tag : finished_) done_(tag);
+  completing_ = false;
+  if (active_.empty()) return;
+  pending_event_ = sim_.schedule_after_reserved(
+      completion_wait(), reserved_seq_, [this] { on_completion(); });
 }
 
 void PsDisk::admit(std::uint64_t tag, double work_bytes) {
@@ -80,7 +85,13 @@ void PsDisk::admit(std::uint64_t tag, double work_bytes) {
       "duplicate active transfer tag");
   advance_to(sim_.now());
   active_.push_back(Transfer{tag, work_bytes});
-  arm_completion();
+  if (completing_) {
+    reserved_seq_ = sim_.reserve_seq();
+    return;
+  }
+  sim_.cancel(pending_event_);  // no-op when unarmed or already fired
+  pending_event_ =
+      sim_.schedule_after(completion_wait(), [this] { on_completion(); });
 }
 
 }  // namespace adaptbf

@@ -7,6 +7,12 @@
 // completion event is kept armed for the transfer that will finish first.
 // Deterministic: ties complete in admission order.
 //
+// A completion event arms its successor once, after every callback of its
+// completion cohort has run, not once per admission those callbacks make.
+// It schedules under the sequence number the last per-admission arm would
+// have taken (see Simulator::reserve_seq), so the dispatch stream is the
+// same as re-arming on every admission.
+//
 // Active transfers sit in a flat array in admission order (the device holds
 // at most one per I/O thread), and every completion goes to one sink given
 // at construction, so admitting and completing a transfer allocates nothing
@@ -47,8 +53,8 @@ class PsDisk {
 
   /// Integrates progress from last_update_ to now.
   void advance_to(SimTime now);
-  /// (Re)arms the completion event for the earliest-finishing transfer.
-  void arm_completion();
+  /// Time until the earliest-finishing active transfer completes.
+  [[nodiscard]] SimDuration completion_wait() const;
   void on_completion();
 
   Simulator& sim_;
@@ -61,6 +67,11 @@ class PsDisk {
   SimTime last_update_;
   /// Armed completion event; stale (and safely cancellable) once fired.
   EventHandle pending_event_;
+  /// True while on_completion() runs its callbacks: admissions then only
+  /// reserve a sequence number, and the cohort arms once at the end.
+  bool completing_ = false;
+  /// Latest sequence number reserved during the current completion.
+  std::uint64_t reserved_seq_ = 0;
 };
 
 }  // namespace adaptbf

@@ -39,12 +39,24 @@ void EventQueue::release_slot(std::uint32_t index) {
 }
 
 EventHandle EventQueue::schedule(SimTime when, EventCallback fn) {
+  return insert(when, next_seq_++, std::move(fn));
+}
+
+EventHandle EventQueue::schedule_reserved(SimTime when, std::uint64_t seq,
+                                          EventCallback fn) {
+  ADAPTBF_CHECK_MSG(seq >= reserve_floor_ && seq < next_seq_,
+                    "sequence number not reserved since the last pop");
+  return insert(when, seq, std::move(fn));
+}
+
+EventHandle EventQueue::insert(SimTime when, std::uint64_t seq,
+                               EventCallback fn) {
   ADAPTBF_CHECK_MSG(static_cast<bool>(fn), "cannot schedule a null event");
   if (fn.heap_allocated()) ++stats_.callback_heap_spills;
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.time = when;
-  slot.seq = next_seq_++;
+  slot.seq = seq;
   slot.fn = std::move(fn);
   if (backend_ == QueueBackend::kHeap) {
     heap_insert(index);
@@ -95,6 +107,7 @@ EventQueue::Fired EventQueue::pop() {
     Fired fired{slot.time, slot.seq, std::move(slot.fn)};
     remove_heap_at(0);
     release_slot(index);
+    reserve_floor_ = next_seq_;
     ++stats_.fired;
     return fired;
   }
@@ -105,6 +118,7 @@ EventQueue::Fired EventQueue::pop() {
   calendar_remove(min_bucket_, min_pos_);
   release_slot(index);
   scan_from_ = fired.time;
+  reserve_floor_ = next_seq_;
   ++stats_.fired;
   return fired;
 }
@@ -161,6 +175,7 @@ bool EventQueue::collect_staged(Fired& out) {
     out.fn = std::move(slot.fn);
     release_slot(entry.index);
     --staged_live_;
+    reserve_floor_ = next_seq_;
     ++stats_.fired;
     return true;
   }
@@ -191,6 +206,7 @@ void EventQueue::reset() {
   staged_next_ = 0;
   staged_live_ = 0;
   next_seq_ = 0;
+  reserve_floor_ = 0;
   stats_ = Stats{};
 }
 
@@ -343,10 +359,11 @@ void EventQueue::calendar_insert(std::uint32_t index) {
   ++calendar_live_;
   if (slot.time < scan_from_) scan_from_ = slot.time;
   if (min_valid_) {
-    // A fresh entry beats the cached minimum only on strictly earlier time
-    // (its sequence number is the largest so far). Appends never move
-    // existing entries, so the cache stays valid otherwise.
-    if (slot.time < buckets_[min_bucket_][min_pos_].time) {
+    // Compare on the full (time, seq) key: a reserved sequence number can
+    // be smaller than the cached minimum's at an equal time. Appends never
+    // move existing entries, so the cache stays valid otherwise.
+    const CalendarEntry& min = buckets_[min_bucket_][min_pos_];
+    if (slot.time < min.time || (slot.time == min.time && slot.seq < min.seq)) {
       min_bucket_ = bucket;
       min_pos_ = entries.size() - 1;
     }

@@ -28,6 +28,12 @@
 // inline (see kInlineCapacity), falling back to the heap only for
 // oversized captures (counted per queue in Stats::callback_heap_spills).
 //
+// Sequence reservation (reserve_seq / schedule_reserved) takes the next
+// sequence number now and schedules with it later: the event orders exactly
+// as if it had been scheduled at reservation time. A reserved number is
+// used at most once, before the next event leaves the queue; a number
+// never handed out, or taken before the last pop, fails a check.
+//
 // Batched dispatch (pop_batch / collect_staged) drains the whole cohort of
 // events sharing the earliest fire time with one bulk structure repair
 // instead of one sift per event. Staged events keep their slots until
@@ -189,6 +195,16 @@ class EventQueue {
   /// cancel()/pending(); the handle goes stale once the event fires.
   EventHandle schedule(SimTime when, EventCallback fn);
 
+  /// Takes the next sequence number without scheduling anything, for a
+  /// later schedule_reserved(). Unused reservations are simply dropped.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedules `fn` at `when` under a number from reserve_seq(), so it
+  /// orders as if scheduled at reservation time. `seq` must have been
+  /// handed out since the last pop and not used before.
+  EventHandle schedule_reserved(SimTime when, std::uint64_t seq,
+                                EventCallback fn);
+
   /// Cancels a pending event with no hashing: O(log4 n) on the heap
   /// backend, O(1) on the calendar backend. Returns false if the handle is
   /// stale (event already fired or already cancelled). Cancelling an event
@@ -315,6 +331,7 @@ class EventQueue {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   void stage_sorted_cohort();
+  EventHandle insert(SimTime when, std::uint64_t seq, EventCallback fn);
 
   // Heap backend.
   void heap_insert(std::uint32_t index);
@@ -338,6 +355,9 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNil;
   std::uint64_t next_seq_ = 0;
+  /// next_seq_ when an event last left the queue: reservations below it
+  /// were taken before that dispatch and may no longer be used.
+  std::uint64_t reserve_floor_ = 0;
   Stats stats_;
 
   // Staged batch (shared by both backends), in sequence order.

@@ -16,6 +16,13 @@ EventHandle Simulator::schedule_after(SimDuration delay, EventCallback fn) {
   return queue_.schedule(now_ + delay, std::move(fn));
 }
 
+EventHandle Simulator::schedule_after_reserved(SimDuration delay,
+                                               std::uint64_t reserved_seq,
+                                               EventCallback fn) {
+  ADAPTBF_CHECK_MSG(delay >= SimDuration(0), "negative delay");
+  return queue_.schedule_reserved(now_ + delay, reserved_seq, std::move(fn));
+}
+
 Simulator::PeriodicHandle Simulator::schedule_periodic(SimDuration period,
                                                        EventCallback fn) {
   ADAPTBF_CHECK_MSG(period > SimDuration(0), "period must be positive");

@@ -49,6 +49,16 @@ class Simulator {
   /// Schedules `fn` after a non-negative delay from now().
   EventHandle schedule_after(SimDuration delay, EventCallback fn);
 
+  /// Sequence reservation: takes the sequence number the next schedule
+  /// would get. schedule_after_reserved() then schedules under it, and the
+  /// event orders exactly as if it had been scheduled at reservation time.
+  /// Use each number at most once, before the next event is dispatched
+  /// (checked); unused reservations are simply dropped.
+  [[nodiscard]] std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+  EventHandle schedule_after_reserved(SimDuration delay,
+                                      std::uint64_t reserved_seq,
+                                      EventCallback fn);
+
   /// Schedules `fn` every `period` (must be strictly positive — a zero
   /// period would re-arm at the same timestamp forever), first firing at
   /// now() + period, until the returned handle is cancelled via

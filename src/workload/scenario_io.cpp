@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -283,6 +284,7 @@ ScenarioLoadResult load_scenario(std::string_view text) {
   }
 
   // [job.N]
+  std::uint64_t total_processes = 0;
   for (const auto& section : ini->sections()) {
     if (section.rfind("job.", 0) != 0) continue;
     const std::string id_text = section.substr(4);
@@ -302,6 +304,13 @@ ScenarioLoadResult load_scenario(std::string_view text) {
       std::string error;
       if (!parse_process(process_text, pattern, count, error))
         return fail("[" + section + "] process: " + error);
+      if (count > kMaxScenarioProcesses - total_processes) {
+        return fail("[" + section + "] process: " +
+                    std::string(kTooManyProcessesError) + " (over " +
+                    std::to_string(kMaxScenarioProcesses) +
+                    " in the scenario)");
+      }
+      total_processes += count;
       for (std::uint64_t i = 0; i < count; ++i)
         job.processes.push_back(pattern);
     }

@@ -28,9 +28,11 @@
 //   process = burst total=640 burst=64 period_s=5 delay_s=2 count=2 random=true
 //
 // Unknown sections/keys are errors: a typo silently ignored is a wrong
-// experiment silently run.
+// experiment silently run. A scenario of more than kMaxScenarioProcesses
+// processes after count= expansion is an error too.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -38,6 +40,17 @@
 #include "workload/scenario.h"
 
 namespace adaptbf {
+
+/// Upper bound on the processes in one scenario, summed over every job's
+/// `process` lines after count= expansion. 128 times the largest
+/// scenario the benchmarks run (512), yet small enough that a mistyped
+/// count= fails at load instead of exhausting a worker's memory.
+inline constexpr std::uint64_t kMaxScenarioProcesses = 65536;
+
+/// Error a scenario over kMaxScenarioProcesses fails with (the load
+/// result's `error` starts with it after the "[job.N] process: " prefix).
+inline constexpr std::string_view kTooManyProcessesError =
+    "too many processes";
 
 struct ScenarioLoadResult {
   std::optional<ScenarioSpec> spec;

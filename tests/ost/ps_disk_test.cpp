@@ -131,6 +131,40 @@ TEST(PsDisk, CompletionCallbackCanAdmitMore) {
   EXPECT_NEAR(chained_done, 1.0, 1e-6);
 }
 
+TEST(PsDisk, CompletionCohortArmsOnceForAllItsAdmissions) {
+  // A completion whose callback admits k transfers schedules exactly one
+  // successor event and cancels nothing; re-arming on every admission
+  // would schedule k + 1 and cancel k.
+  constexpr std::uint64_t kAdmitted = 3;
+  Simulator sim;
+  Completions done{sim};
+  PsDisk* disk_ptr = nullptr;
+  PsDisk disk(sim, 1000.0, [&](std::uint64_t tag) {
+    done.sink()(tag);
+    if (tag != 1) return;
+    for (std::uint64_t i = 0; i < kAdmitted; ++i)
+      disk_ptr->admit(10 + i, 300.0);
+  });
+  disk_ptr = &disk;
+  disk.admit(1, 100.0);
+  disk.admit(2, 1000.0);
+  sim.run_until(SimTime::zero() + SimDuration::millis(100));
+  const EventQueue::Stats before = sim.queue_stats();
+  // Tag 1 finishes at t=0.2 (100 at 500 B/s) and admits three more.
+  sim.run_until(SimTime::zero() + SimDuration::millis(300));
+  ASSERT_EQ(done.order, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(sim.queue_stats().scheduled - before.scheduled, 1u);
+  EXPECT_EQ(sim.queue_stats().cancelled - before.cancelled, 0u);
+  sim.run_to_completion();
+  // Four share from t=0.2: the 300s finish 1.2 s later, at t=1.4, in
+  // admission order; tag 2 then has 600 left at full rate: t=2.0.
+  EXPECT_EQ(done.order, (std::vector<std::uint64_t>{1, 10, 11, 12, 2}));
+  EXPECT_NEAR(done.at.at(1), 0.2, 1e-6);
+  for (std::uint64_t tag = 10; tag < 10 + kAdmitted; ++tag)
+    EXPECT_NEAR(done.at.at(tag), 1.4, 1e-6);
+  EXPECT_NEAR(done.at.at(2), 2.0, 1e-6);
+}
+
 TEST(PsDisk, CompletedTagCanBeReusedFromItsCallback) {
   // The OST tags transfers by I/O thread and reuses a thread's tag as soon
   // as its transfer completes, from inside the completion callback.

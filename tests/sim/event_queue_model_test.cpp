@@ -1,19 +1,25 @@
 // Randomized model test: the pooled/generation-tagged EventQueue must be
 // observationally identical to a trivial reference implementation — a
-// std::multimap keyed on fire time, which (since C++11) preserves insertion
-// order among equal keys, i.e. exactly the (time, sequence) contract.
+// std::map keyed on (fire time, sequence number), with the model handing
+// out sequence numbers in the same order as the queue, i.e. exactly the
+// (time, sequence) contract.
 //
-// 10k mixed schedule/cancel/pop operations per seed, asserting identical
-// fire order, live() counts, and cancel() verdicts throughout. The whole
-// suite runs over the {heap, calendar} x {single-pop, batched} matrix: the
-// ordering backend and the dispatch mode must both be invisible to the
-// model. Batched rounds exercise the staged-cohort semantics, including
-// cancels and same-time schedules issued mid-batch.
+// 10k mixed schedule/reserve/cancel/pop operations per seed, asserting
+// identical fire order, sequence numbers, live() counts, and cancel()
+// verdicts throughout. Reservations take a number now and schedule with it
+// later in the same operation, as the PS disk does within one dispatch.
+// The whole suite runs over the {heap, calendar} x {single-pop, batched}
+// matrix: the ordering backend and the dispatch mode must both be
+// invisible to the model. Batched rounds exercise the staged-cohort
+// semantics, including cancels and same-time schedules issued mid-batch.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -22,9 +28,14 @@
 namespace adaptbf {
 namespace {
 
+/// (fire time, sequence number) -> sequence number. The sequence number
+/// doubles as the event's token: it is unique and recorded when it fires.
+using Key = std::pair<std::int64_t, std::uint64_t>;
+using Oracle = std::map<Key, std::uint64_t>;
+
 struct ModelEvent {
   EventHandle handle;
-  std::multimap<std::int64_t, std::uint64_t>::iterator oracle_it;
+  Oracle::iterator oracle_it;
   bool alive = false;
 };
 
@@ -36,19 +47,51 @@ struct ModelConfig {
 void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
   Xoshiro256 rng(seed);
   EventQueue queue(config.backend);
-  std::multimap<std::int64_t, std::uint64_t> oracle;  // time -> token
+  Oracle oracle;
   std::vector<ModelEvent> events;  // every event ever scheduled
   std::vector<std::uint64_t> fired;
-  std::uint64_t next_token = 0;
+  std::uint64_t next_seq = 0;
 
-  const auto schedule_one = [&](std::int64_t when) {
-    const std::uint64_t token = next_token++;
+  const auto track = [&](EventHandle handle, std::int64_t when,
+                         std::uint64_t seq) {
     ModelEvent event;
-    event.handle = queue.schedule(SimTime(when),
-                                  [&fired, token] { fired.push_back(token); });
-    event.oracle_it = oracle.emplace(when, token);
+    event.handle = handle;
+    event.oracle_it = oracle.emplace(Key{when, seq}, seq).first;
     event.alive = true;
     events.push_back(event);
+  };
+
+  const auto schedule_one = [&](std::int64_t when) {
+    const std::uint64_t seq = next_seq++;
+    track(queue.schedule(SimTime(when),
+                         [&fired, seq] { fired.push_back(seq); }),
+          when, seq);
+  };
+
+  // Reserve-then-schedule-later: takes one to three numbers with ordinary
+  // schedules interleaved, then schedules under a random subset of them
+  // (each at most once, in random order) at times >= `floor`. Nothing is
+  // popped in between, as the contract requires.
+  const auto reserve_burst = [&](std::int64_t floor) {
+    std::vector<std::uint64_t> reserved;
+    const std::uint64_t n = rng.next_in(1, 3);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      reserved.push_back(queue.reserve_seq());
+      ASSERT_EQ(reserved.back(), next_seq++) << "reserved number diverged";
+      if (rng.next_in(0, 1) == 0)
+        schedule_one(floor + static_cast<std::int64_t>(rng.next_in(0, 499)));
+    }
+    while (!reserved.empty()) {
+      const std::size_t pick = rng.next_in(0, reserved.size() - 1);
+      const std::uint64_t seq = reserved[pick];
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
+      if (rng.next_in(0, 2) == 0) continue;  // dropped reservation
+      const std::int64_t when =
+          floor + static_cast<std::int64_t>(rng.next_in(0, 499));
+      track(queue.schedule_reserved(SimTime(when), seq,
+                                    [&fired, seq] { fired.push_back(seq); }),
+            when, seq);
+    }
   };
 
   const auto cancel_random = [&](int op) {
@@ -63,8 +106,10 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
 
   const auto check_fired_front = [&](EventQueue::Fired& popped, int op) {
     const auto expected = oracle.begin();
-    ASSERT_EQ(popped.time.ns(), expected->first)
+    ASSERT_EQ(popped.time.ns(), expected->first.first)
         << "fire time diverged at op " << op;
+    ASSERT_EQ(popped.seq, expected->first.second)
+        << "sequence number diverged at op " << op;
     const std::size_t before = fired.size();
     popped.fn();
     ASSERT_EQ(fired.size(), before + 1);
@@ -82,9 +127,12 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
 
   for (int op = 0; op < operations; ++op) {
     const std::uint64_t roll = rng.next_in(0, 99);
-    if (roll < 50 || queue.empty()) {
+    if (roll < 40 || queue.empty()) {
       // Schedule at a clustered time so ties are frequent.
       schedule_one(static_cast<std::int64_t>(rng.next_in(0, 499)));
+    } else if (roll < 50) {
+      reserve_burst(0);
+      if (::testing::Test::HasFatalFailure()) return;
     } else if (roll < 75) {
       // Cancel a random historical event — often already fired or already
       // cancelled, so stale-handle rejection is exercised constantly.
@@ -96,9 +144,13 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
       // cancels and same-time schedules issued mid-batch behave exactly as
       // they would under single pops (the simulator forbids scheduling
       // before the current dispatch time, so mid-batch times are >= t).
+      // Reservations taken mid-batch are used before the next collect.
       ASSERT_FALSE(oracle.empty());
-      const std::int64_t t = oracle.begin()->first;
-      ASSERT_EQ(queue.pop_batch(), oracle.count(t))
+      const std::int64_t t = oracle.begin()->first.first;
+      const auto cohort_end = oracle.lower_bound(Key{t + 1, 0});
+      ASSERT_EQ(queue.pop_batch(),
+                static_cast<std::size_t>(
+                    std::distance(oracle.begin(), cohort_end)))
           << "cohort size diverged at op " << op;
       ASSERT_EQ(queue.live(), oracle.size());  // staged events still pending
       EventQueue::Fired out;
@@ -111,6 +163,9 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
           if (::testing::Test::HasFatalFailure()) return;
         } else if (mid == 1) {
           schedule_one(t + static_cast<std::int64_t>(rng.next_in(0, 499)));
+        } else if (mid == 2) {
+          reserve_burst(t);
+          if (::testing::Test::HasFatalFailure()) return;
         }
       }
     } else {
@@ -123,14 +178,16 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
     ASSERT_EQ(queue.live(), oracle.size()) << "live() diverged at op " << op;
     ASSERT_EQ(queue.empty(), oracle.empty());
     ASSERT_EQ(queue.next_time(),
-              oracle.empty() ? SimTime::max() : SimTime(oracle.begin()->first));
+              oracle.empty() ? SimTime::max()
+                             : SimTime(oracle.begin()->first.first));
   }
 
   // Drain: the remaining fire order must match the oracle exactly.
   while (!oracle.empty()) {
     const auto expected = oracle.begin();
     auto popped = queue.pop();
-    ASSERT_EQ(popped.time.ns(), expected->first);
+    ASSERT_EQ(popped.time.ns(), expected->first.first);
+    ASSERT_EQ(popped.seq, expected->first.second);
     popped.fn();
     ASSERT_EQ(fired.back(), expected->second);
     oracle.erase(expected);
@@ -147,6 +204,41 @@ TEST_P(EventQueueModel, TenThousandMixedOperations) {
 TEST_P(EventQueueModel, MoreSeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed)
     run_model(seed, 2000, GetParam());
+}
+
+TEST_P(EventQueueModel, ReservedSeqBelowCachedMinimumAtEqualTime) {
+  // An event scheduled under a reserved number at the same time as the
+  // current minimum, with a smaller sequence number, becomes the minimum.
+  // next_time() makes the calendar backend cache the old minimum first.
+  EventQueue queue(GetParam().backend);
+  std::vector<int> order;
+  const std::uint64_t reserved = queue.reserve_seq();
+  queue.schedule(SimTime(5), [&order] { order.push_back(1); });
+  ASSERT_EQ(queue.next_time(), SimTime(5));
+  queue.schedule_reserved(SimTime(5), reserved,
+                          [&order] { order.push_back(0); });
+  auto first = queue.pop();
+  EXPECT_EQ(first.seq, reserved);
+  first.fn();
+  auto second = queue.pop();
+  second.fn();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST_P(EventQueueModel, SchedulingUnreservedSeqFailsCheck) {
+  EventQueue queue(GetParam().backend);
+  queue.schedule(SimTime(1), [] {});  // hands out sequence number 0
+  EXPECT_DEATH(queue.schedule_reserved(SimTime(1), 1, [] {}),
+               "not reserved since the last pop");
+}
+
+TEST_P(EventQueueModel, ReservationTakenBeforeLastPopFailsCheck) {
+  EventQueue queue(GetParam().backend);
+  const std::uint64_t reserved = queue.reserve_seq();
+  queue.schedule(SimTime(1), [] {});
+  (void)queue.pop();
+  EXPECT_DEATH(queue.schedule_reserved(SimTime(2), reserved, [] {}),
+               "not reserved since the last pop");
 }
 
 INSTANTIATE_TEST_SUITE_P(

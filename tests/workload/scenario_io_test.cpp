@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+
 namespace adaptbf {
 namespace {
 
@@ -120,6 +123,33 @@ TEST(ScenarioIo, RejectsBadProcessLines) {
                              "count=0\n")
                    .ok());
   EXPECT_FALSE(load_scenario("[job.1]\nprocess =\n").ok());
+}
+
+TEST(ScenarioIo, CapsTotalProcessesAfterCountExpansion) {
+  // The cap is on the whole scenario, summed across jobs and lines.
+  const std::string half = std::to_string(kMaxScenarioProcesses / 2);
+  const std::string at_cap = "[job.1]\nprocess = continuous total=1 count=" +
+                             half + "\n[job.2]\nprocess = continuous "
+                             "total=1 count=" + half + "\n";
+  const auto accepted = load_scenario(at_cap);
+  ASSERT_TRUE(accepted.ok()) << accepted.error;
+  std::size_t processes = 0;
+  for (const JobSpec& job : accepted.spec->jobs)
+    processes += job.processes.size();
+  EXPECT_EQ(processes, kMaxScenarioProcesses);
+
+  const auto rejected =
+      load_scenario(at_cap + "process = continuous total=1\n");
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.error.find(kTooManyProcessesError), std::string::npos)
+      << rejected.error;
+
+  // A count= far past the cap fails fast, without expanding anything.
+  const auto huge = load_scenario(
+      "[job.1]\nprocess = continuous total=1 count=18446744073709551615\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.error.find(kTooManyProcessesError), std::string::npos)
+      << huge.error;
 }
 
 TEST(ScenarioIo, RejectsJoblessScenario) {
