@@ -14,7 +14,12 @@
 // ceiling in bench/sim_core_floor.json. experiment_schedules_per_event is
 // events scheduled over events fired in those trials (1.0 would mean no
 // event is ever cancelled or replaced); CI holds it under its ceiling
-// there too.
+// there too. Each trial is then summarized into its campaign row
+// (summarize_trial), as every sweep worker does:
+// experiment_summary_allocs_per_trial counts the allocations of that step
+// alone (an exact count, gated by its own ceiling there) and
+// experiment_summary_ms_per_trial times it (informational). The
+// experiment_* keys above exclude the summary.
 //
 // Usage: sim_core_bench [--events N] [--trials N] [--queue heap|calendar|both]
 //                       [--require-zero-alloc]
@@ -27,6 +32,7 @@
 
 #include "cluster/experiment.h"
 #include "sim/simulator.h"
+#include "sweep/sweep_runner.h"
 #include "workload/scenarios_paper.h"
 
 namespace {
@@ -230,6 +236,8 @@ struct TrialResultStats {
   double events_per_sec = 0.0;
   double allocs_per_rpc = 0.0;
   double schedules_per_event = 0.0;
+  double summary_allocs_per_trial = 0.0;
+  double summary_ms_per_trial = 0.0;
 };
 
 TrialResultStats bench_trials(int trials, QueueBackend backend) {
@@ -245,18 +253,29 @@ TrialResultStats bench_trials(int trials, QueueBackend backend) {
   std::uint64_t rpcs = 0;
   std::uint64_t scheduled = 0;
   std::uint64_t fired = 0;
-  (void)run_experiment(spec, options);  // warm-up
+  TrialSpec trial;
+  trial.scenario = "token_allocation";
+  trial.policy = BwControl::kAdaptive;
+  (void)summarize_trial(trial, run_experiment(spec, options));  // warm-up
+  std::uint64_t summary_allocations = 0;
+  double summary_seconds = 0.0;
   const std::uint64_t allocations_before = allocations();
   const auto start = Clock::now();
   for (int i = 0; i < trials; ++i) {
     const auto result = run_experiment(spec, options);
+    const std::uint64_t summary_allocations_before = allocations();
+    const auto summary_start = Clock::now();
+    const TrialResult row = summarize_trial(trial, result);
+    summary_seconds += seconds_since(summary_start);
+    summary_allocations += allocations() - summary_allocations_before;
     events += result.events_dispatched;
     scheduled += result.queue_stats.scheduled;
     fired += result.queue_stats.fired;
     for (const auto& job : result.jobs) rpcs += job.rpcs_completed;
   }
-  const double elapsed = seconds_since(start);
-  const std::uint64_t allocation_delta = allocations() - allocations_before;
+  const double elapsed = seconds_since(start) - summary_seconds;
+  const std::uint64_t allocation_delta =
+      allocations() - allocations_before - summary_allocations;
   TrialResultStats stats;
   stats.trials_per_sec = static_cast<double>(trials) / elapsed;
   stats.events_per_sec = static_cast<double>(events) / elapsed;
@@ -264,6 +283,9 @@ TrialResultStats bench_trials(int trials, QueueBackend backend) {
       static_cast<double>(allocation_delta) / static_cast<double>(rpcs);
   stats.schedules_per_event =
       static_cast<double>(scheduled) / static_cast<double>(fired);
+  stats.summary_allocs_per_trial =
+      static_cast<double>(summary_allocations) / trials;
+  stats.summary_ms_per_trial = summary_seconds * 1e3 / trials;
   return stats;
 }
 
@@ -317,6 +339,10 @@ void print_series(const char* prefix, const BackendSeries& series,
               series.experiment.allocs_per_rpc);
   std::printf("%sexperiment_schedules_per_event %.6f\n", prefix,
               series.experiment.schedules_per_event);
+  std::printf("%sexperiment_summary_allocs_per_trial %.3f\n", prefix,
+              series.experiment.summary_allocs_per_trial);
+  std::printf("%sexperiment_summary_ms_per_trial %.3f\n", prefix,
+              series.experiment.summary_ms_per_trial);
 }
 
 int run(int argc, char** argv) {

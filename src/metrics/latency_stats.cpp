@@ -1,8 +1,23 @@
 #include "metrics/latency_stats.h"
 
+#include <iterator>
+#include <span>
+
 #include "support/stats.h"
 
 namespace adaptbf {
+
+namespace {
+
+/// p50/p95/p99 of a non-empty sample; reorders it.
+LatencyPercentiles select_p50_p95_p99(std::span<double> values) {
+  constexpr double kQs[] = {50.0, 95.0, 99.0};
+  double p[std::size(kQs)];
+  select_percentiles(values, kQs, p);
+  return {p[0], p[1], p[2]};
+}
+
+}  // namespace
 
 void LatencyStats::record(const RpcCompletion& completion) {
   const std::uint32_t slot = slots_.insert(completion.rpc.job);
@@ -12,18 +27,31 @@ void LatencyStats::record(const RpcCompletion& completion) {
   samples.queue_ms.push_back(completion.queue_delay().to_seconds() * 1e3);
 }
 
-LatencySummary LatencyStats::summarize(const std::vector<double>& values) {
+LatencySummary LatencyStats::summarize(std::vector<double> values) {
   LatencySummary summary;
   if (values.empty()) return summary;
   summary.samples = values.size();
+  // The mean folds in sample order, so it runs before selection reorders.
   StreamingStats stats;
   for (double v : values) stats.add(v);
   summary.mean_ms = stats.mean();
   summary.max_ms = stats.max();
-  summary.p50_ms = percentile(values, 50.0);
-  summary.p95_ms = percentile(values, 95.0);
-  summary.p99_ms = percentile(values, 99.0);
+  const LatencyPercentiles p = select_p50_p95_p99(values);
+  summary.p50_ms = p.p50_ms;
+  summary.p95_ms = p.p95_ms;
+  summary.p99_ms = p.p99_ms;
   return summary;
+}
+
+std::vector<double> LatencyStats::pooled_total_ms() const {
+  std::size_t count = 0;
+  for (const Samples& samples : samples_) count += samples.total_ms.size();
+  std::vector<double> all;
+  all.reserve(count);
+  for (std::uint32_t slot : slots_.ascending())
+    all.insert(all.end(), samples_[slot].total_ms.begin(),
+               samples_[slot].total_ms.end());
+  return all;
 }
 
 const LatencyStats::Samples* LatencyStats::find(JobId job) const {
@@ -42,11 +70,12 @@ LatencySummary LatencyStats::queue_delay(JobId job) const {
 }
 
 LatencySummary LatencyStats::total_latency_all() const {
-  std::vector<double> all;
-  for (std::uint32_t slot : slots_.ascending())
-    all.insert(all.end(), samples_[slot].total_ms.begin(),
-               samples_[slot].total_ms.end());
-  return summarize(all);
+  return summarize(pooled_total_ms());
+}
+
+LatencyPercentiles LatencyStats::total_latency_percentiles_all() const {
+  std::vector<double> all = pooled_total_ms();
+  return all.empty() ? LatencyPercentiles{} : select_p50_p95_p99(all);
 }
 
 std::vector<JobId> LatencyStats::jobs() const {

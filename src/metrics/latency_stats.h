@@ -24,6 +24,14 @@ struct LatencySummary {
   double max_ms = 0.0;
 };
 
+/// Pooled latency percentiles alone: the trial row's view, with no mean or
+/// max to fold.
+struct LatencyPercentiles {
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+};
+
 class LatencyStats {
  public:
   /// Records one completed RPC.
@@ -39,6 +47,10 @@ class LatencyStats {
   /// Summary across all jobs.
   [[nodiscard]] LatencySummary total_latency_all() const;
 
+  /// total_latency_all()'s p50/p95/p99 without its mean/max fold. Zeroed
+  /// if no RPC completed.
+  [[nodiscard]] LatencyPercentiles total_latency_percentiles_all() const;
+
   [[nodiscard]] std::vector<JobId> jobs() const;
   [[nodiscard]] std::size_t samples(JobId job) const;
 
@@ -47,13 +59,17 @@ class LatencyStats {
     std::vector<double> total_ms;
     std::vector<double> queue_ms;
   };
-  static LatencySummary summarize(const std::vector<double>& values);
+  static LatencySummary summarize(std::vector<double> values);
+  /// Every job's total-latency samples in one buffer of the exact size,
+  /// job by job in ascending JobId order.
+  [[nodiscard]] std::vector<double> pooled_total_ms() const;
   [[nodiscard]] const Samples* find(JobId job) const;
 
   // Per-slot storage. total_latency_all() folds samples across jobs and
   // floating-point accumulation is rounding-order-sensitive, so every
   // cross-job walk goes through slots_.ascending(), never slot order
-  // (lint: unordered-output).
+  // (lint: unordered-output). Percentiles are order statistics, selected
+  // exactly on one buffer, so pooling order cannot change them.
   JobSlots slots_;
   std::vector<Samples> samples_;  ///< By job slot.
 };

@@ -51,18 +51,48 @@ void StreamingStats::merge(const StreamingStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-double percentile(std::span<const double> values, double q) {
+void select_percentiles(std::span<double> values, std::span<const double> qs,
+                        std::span<double> out) {
   ADAPTBF_CHECK(!values.empty());
-  ADAPTBF_CHECK(q >= 0.0 && q <= 100.0);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double rank =
-      q / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  ADAPTBF_CHECK(out.size() == qs.size());
+  const std::size_t n = values.size();
+  // Invariant: [next, n) holds exactly the order statistics of ranks next
+  // and up, unordered, and each rank placed so far sits at its position.
+  // Ascending qs only ever revisit the last lo/hi pair placed, so every
+  // selection runs on the unplaced tail alone.
+  std::size_t next = 0;
+  auto place = [&](std::size_t rank) {
+    if (rank < next) return;
+    std::nth_element(values.begin() + next, values.begin() + rank,
+                     values.end());
+    next = rank + 1;
+  };
+  double previous_q = 0.0;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const double q = qs[i];
+    ADAPTBF_CHECK(q >= 0.0 && q <= 100.0);
+    ADAPTBF_CHECK(q >= previous_q);
+    previous_q = q;
+    if (n == 1) {
+      out[i] = values.front();
+      continue;
+    }
+    const double rank = q / 100.0 * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = rank - static_cast<double>(lo);
+    place(lo);
+    place(hi);
+    out[i] = values[lo] + frac * (values[hi] - values[lo]);
+  }
+}
+
+double percentile(std::span<const double> values, double q) {
+  std::vector<double> copy(values.begin(), values.end());
+  double out = 0.0;
+  select_percentiles(copy, std::span<const double>(&q, 1),
+                     std::span<double>(&out, 1));
+  return out;
 }
 
 double jain_fairness(std::span<const double> values) {

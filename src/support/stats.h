@@ -35,8 +35,17 @@ class StreamingStats {
   double sum_ = 0.0;
 };
 
-/// Percentile of a sample using linear interpolation between closest ranks.
-/// `q` in [0, 100]. The input span is copied; the original is not reordered.
+/// Percentiles of a sample using linear interpolation between closest
+/// ranks: out[i] is the percentile at qs[i]. `qs` must be ascending, each in
+/// [0, 100], and `out` as long as `qs`. Exact, with no sort and no copy:
+/// `values` is reordered in place so that only the order statistics the
+/// `qs` interpolate between are placed, by chained std::nth_element. For a
+/// given sample the results do not depend on its order.
+void select_percentiles(std::span<double> values, std::span<const double> qs,
+                        std::span<double> out);
+
+/// Percentile of a sample at one `q` in [0, 100] (select_percentiles on a
+/// copy: the original is not reordered).
 [[nodiscard]] double percentile(std::span<const double> values, double q);
 
 /// Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1]; 1 = all equal.

@@ -50,6 +50,12 @@ std::optional<SweepScenario> builtin_scenario(std::string_view name) {
   return std::nullopt;
 }
 
+/// Error for a `key` whose value does not fit its 32-bit field.
+std::string out_of_range(const std::string& key) {
+  return key + ": " + std::string(kValueOutOfRangeError) + " (max " +
+         std::to_string(UINT32_MAX) + ")";
+}
+
 /// Path stem ("dir/noisy.ini" -> "noisy") as the scenario label fallback.
 std::string path_stem(std::string_view path) {
   const std::size_t slash = path.find_last_of('/');
@@ -129,6 +135,7 @@ SweepLoadResult load_sweep(std::string_view text, const std::string& base_dir) {
     std::uint64_t value = 0;
     if (!parse_u64(*reps, value) || value == 0)
       return fail("repetitions must be a positive integer");
+    if (value > UINT32_MAX) return fail(out_of_range("repetitions"));
     spec.repetitions = static_cast<std::uint32_t>(value);
   }
   if (auto seed = ini->get("sweep", "base_seed")) {
@@ -154,6 +161,7 @@ SweepLoadResult load_sweep(std::string_view text, const std::string& base_dir) {
       std::uint64_t value = 0;
       if (!parse_u64(item, value) || value == 0)
         return fail("bad osts value '" + item + "'");
+      if (value > UINT32_MAX) return fail(out_of_range("osts"));
       spec.ost_counts.push_back(static_cast<std::uint32_t>(value));
     }
   }
@@ -164,6 +172,11 @@ SweepLoadResult load_sweep(std::string_view text, const std::string& base_dir) {
         return fail("bad token_rate value '" + item + "'");
       spec.token_rates.push_back(value);
     }
+  }
+
+  if (spec.trial_count() > kMaxSweepTrials) {
+    return fail(std::string(kTooManyTrialsError) + " (over " +
+                std::to_string(kMaxSweepTrials) + " in the grid)");
   }
 
   SweepLoadResult result;

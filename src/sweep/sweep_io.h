@@ -24,9 +24,12 @@
 // Builtin scenario names: token_allocation, redistribution,
 // recompensation (the paper's §IV-D/E/F workloads). Any other value is
 // treated as a scenario file path, resolved relative to the sweep file.
-// Unknown sections/keys are errors, same stance as scenario_io.h.
+// Unknown sections/keys are errors, same stance as scenario_io.h, and so
+// are a repetitions or [grid] osts value too large for its 32-bit field
+// (kValueOutOfRangeError) and a grid of more than kMaxSweepTrials trials.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,6 +39,17 @@
 #include "sweep/sweep_spec.h"
 
 namespace adaptbf {
+
+/// Upper bound on a sweep file's grid (SweepSpec::trial_count(), checked
+/// at load). Over 1,000 times the largest campaign the examples and
+/// benchmarks run (48 trials), yet small enough that a mistyped
+/// repetitions or grid axis fails at load instead of materializing a grid
+/// that exhausts a worker's memory.
+inline constexpr std::size_t kMaxSweepTrials = 65536;
+
+/// Error a sweep over kMaxSweepTrials fails with (the load result's
+/// `error` starts with it).
+inline constexpr std::string_view kTooManyTrialsError = "too many trials";
 
 struct SweepLoadResult {
   std::optional<SweepSpec> spec;

@@ -53,9 +53,18 @@ std::string TrialSpec::cell_id() const {
 }
 
 std::size_t SweepSpec::trial_count() const {
-  const std::size_t osts = ost_counts.empty() ? 1 : ost_counts.size();
-  const std::size_t rates = token_rates.empty() ? 1 : token_rates.size();
-  return scenarios.size() * policies.size() * osts * rates * repetitions;
+  const std::size_t axes[] = {scenarios.size(), policies.size(),
+                              ost_counts.empty() ? 1 : ost_counts.size(),
+                              token_rates.empty() ? 1 : token_rates.size(),
+                              repetitions};
+  for (const std::size_t axis : axes)
+    if (axis == 0) return 0;
+  std::size_t count = 1;
+  for (const std::size_t axis : axes) {
+    if (count > SIZE_MAX / axis) return SIZE_MAX;
+    count *= axis;
+  }
+  return count;
 }
 
 std::vector<TrialSpec> SweepSpec::expand() const {

@@ -64,6 +64,8 @@ struct SweepSpec {
   /// so one long scenario cannot dominate wall time).
   SimDuration duration_override{0};
 
+  /// Size of the grid. Saturates at SIZE_MAX instead of wrapping, so a
+  /// cap check on it holds however large the axes are.
   [[nodiscard]] std::size_t trial_count() const;
 
   /// Materializes the full grid, row-major over

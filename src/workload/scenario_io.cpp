@@ -159,6 +159,24 @@ bool parse_process(std::string_view text, ProcessPattern& pattern,
   return false;
 }
 
+/// Reads the integer `key` of `section` into a 32-bit field, within
+/// [1, max]; an absent key leaves `out` as it is. Returns the error, empty
+/// if none.
+std::string read_count(const IniFile& ini, const std::string& section,
+                       const std::string& key, std::uint32_t max,
+                       std::uint32_t& out) {
+  if (!ini.get(section, key)) return "";
+  const auto value = ini.get_int(section, key);
+  if (!value) return "bad " + key;
+  if (*value < 1) return key + " must be >= 1";
+  if (static_cast<std::uint64_t>(*value) > max) {
+    return key + ": " + std::string(kValueOutOfRangeError) + " (max " +
+           std::to_string(max) + ")";
+  }
+  out = static_cast<std::uint32_t>(*value);
+  return "";
+}
+
 }  // namespace
 
 ScenarioLoadResult load_scenario(std::string_view text) {
@@ -248,14 +266,14 @@ ScenarioLoadResult load_scenario(std::string_view text) {
   }
 
   // [server]
-  if (auto osts = ini->get_int("server", "osts")) {
-    if (*osts < 1) return fail("osts must be >= 1");
-    spec.num_osts = static_cast<std::uint32_t>(*osts);
-  }
-  if (auto threads = ini->get_int("server", "threads")) {
-    if (*threads < 1) return fail("threads must be >= 1");
-    spec.num_threads = static_cast<std::uint32_t>(*threads);
-  }
+  if (auto error =
+          read_count(*ini, "server", "osts", UINT32_MAX, spec.num_osts);
+      !error.empty())
+    return fail(error);
+  if (auto error =
+          read_count(*ini, "server", "threads", UINT32_MAX, spec.num_threads);
+      !error.empty())
+    return fail(error);
   if (auto bw = ini->get_double("server", "seq_bandwidth_mibps")) {
     if (*bw <= 0.0) return fail("seq_bandwidth_mibps must be positive");
     spec.disk.seq_bandwidth = *bw * 1024 * 1024;
@@ -270,14 +288,16 @@ ScenarioLoadResult load_scenario(std::string_view text) {
   }
 
   // [client]
-  if (auto size = ini->get_int("client", "rpc_size_kib")) {
-    if (*size < 1) return fail("rpc_size_kib must be >= 1");
-    spec.rpc_size_bytes = static_cast<std::uint32_t>(*size) * 1024;
-  }
-  if (auto inflight = ini->get_int("client", "max_inflight")) {
-    if (*inflight < 1) return fail("max_inflight must be >= 1");
-    spec.max_inflight_per_process = static_cast<std::uint32_t>(*inflight);
-  }
+  std::uint32_t rpc_size_kib = 0;
+  if (auto error = read_count(*ini, "client", "rpc_size_kib", kMaxRpcSizeKib,
+                              rpc_size_kib);
+      !error.empty())
+    return fail(error);
+  if (rpc_size_kib != 0) spec.rpc_size_bytes = rpc_size_kib * 1024;
+  if (auto error = read_count(*ini, "client", "max_inflight", UINT32_MAX,
+                              spec.max_inflight_per_process);
+      !error.empty())
+    return fail(error);
   if (auto latency = ini->get_double("client", "network_latency_us")) {
     if (*latency < 0.0) return fail("network_latency_us must be >= 0");
     spec.network_latency = SimDuration::from_seconds(*latency / 1e6);
@@ -294,10 +314,10 @@ ScenarioLoadResult load_scenario(std::string_view text) {
     JobSpec job;
     job.id = JobId(static_cast<std::uint32_t>(id));
     job.name = ini->get(section, "name").value_or("Job" + id_text);
-    if (auto nodes = ini->get_int(section, "nodes")) {
-      if (*nodes < 1) return fail("nodes must be >= 1 in [" + section + "]");
-      job.nodes = static_cast<std::uint32_t>(*nodes);
-    }
+    if (auto error = read_count(*ini, section, "nodes", UINT32_MAX,
+                                job.nodes);
+        !error.empty())
+      return fail(error + " in [" + section + "]");
     for (const auto& process_text : ini->get_all(section, "process")) {
       ProcessPattern pattern;
       std::uint64_t count = 1;

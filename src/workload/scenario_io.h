@@ -29,7 +29,8 @@
 //
 // Unknown sections/keys are errors: a typo silently ignored is a wrong
 // experiment silently run. A scenario of more than kMaxScenarioProcesses
-// processes after count= expansion is an error too.
+// processes after count= expansion is an error too, and so is a count or
+// size too large for its 32-bit field (kValueOutOfRangeError).
 #pragma once
 
 #include <cstdint>
@@ -51,6 +52,14 @@ inline constexpr std::uint64_t kMaxScenarioProcesses = 65536;
 /// result's `error` starts with it after the "[job.N] process: " prefix).
 inline constexpr std::string_view kTooManyProcessesError =
     "too many processes";
+
+/// Error a count or size that does not fit its field fails with (osts,
+/// threads, rpc_size_kib, max_inflight, nodes; the load result's `error`
+/// names the key, then this).
+inline constexpr std::string_view kValueOutOfRangeError = "value out of range";
+
+/// Largest rpc_size_kib: the RPC size is held in bytes in 32 bits.
+inline constexpr std::uint32_t kMaxRpcSizeKib = UINT32_MAX / 1024;
 
 struct ScenarioLoadResult {
   std::optional<ScenarioSpec> spec;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/random.h"
 #include "support/stats.h"
 
 namespace adaptbf {
@@ -91,15 +92,18 @@ RpcCompletion completion_ns(std::uint32_t job, std::int64_t latency_ns) {
   return c;
 }
 
+// Jobs first seen as 4000000000, 7, 3.
+const std::vector<std::pair<std::uint32_t, std::int64_t>> kSparseSamples = {
+    {4000000000u, 671862057},    {7, 533738179690749},
+    {3, 649562111998},           {4000000000u, 623685183},
+    {3, 144071367499},
+};
+
 TEST(LatencyStats, SparseJobIdsFoldInAscendingOrder) {
-  // Jobs first seen as 4000000000, 7, 3. total_latency_all() must pool
-  // the samples job by job in ascending JobId order: the mean below is
-  // rounding-order-sensitive, and first-seen order gives another value.
-  const std::vector<std::pair<std::uint32_t, std::int64_t>> samples = {
-      {4000000000u, 671862057},    {7, 533738179690749},
-      {3, 649562111998},           {4000000000u, 623685183},
-      {3, 144071367499},
-  };
+  // total_latency_all() must pool the samples job by job in ascending
+  // JobId order: the mean below is rounding-order-sensitive, and
+  // first-seen order gives another value.
+  const auto& samples = kSparseSamples;
   LatencyStats stats;
   for (const auto& [job, ns] : samples) stats.record(completion_ns(job, ns));
 
@@ -125,6 +129,56 @@ TEST(LatencyStats, SparseJobIdsFoldInAscendingOrder) {
   EXPECT_EQ(stats.samples(JobId(3)), 2u);
   EXPECT_EQ(stats.total_latency(JobId(7)).samples, 1u);
   EXPECT_EQ(stats.queue_delay(JobId(4000000000u)).samples, 2u);
+}
+
+void expect_row_percentiles_match_summary(const LatencyStats& stats) {
+  const LatencySummary all = stats.total_latency_all();
+  const LatencyPercentiles row = stats.total_latency_percentiles_all();
+  EXPECT_EQ(row.p50_ms, all.p50_ms);
+  EXPECT_EQ(row.p95_ms, all.p95_ms);
+  EXPECT_EQ(row.p99_ms, all.p99_ms);
+}
+
+TEST(LatencyStats, RowPercentilesMatchSummaryOnSparseJobIds) {
+  LatencyStats stats;
+  for (const auto& [job, ns] : kSparseSamples)
+    stats.record(completion_ns(job, ns));
+  expect_row_percentiles_match_summary(stats);
+}
+
+TEST(LatencyStats, RowPercentilesMatchSummaryOnManyJobs) {
+  // 300 sparse job ids, 1 to 400 samples each, recorded interleaved;
+  // half the jobs draw from a few distinct latencies, half continuously.
+  Xoshiro256 rng(97);
+  std::vector<std::uint32_t> ids(300);
+  for (auto& id : ids)
+    id = static_cast<std::uint32_t>(rng.next_in(1, JobId::kInvalid - 1));
+  std::vector<std::uint64_t> left(ids.size());
+  for (auto& n : left) n = rng.next_in(1, 400);
+  LatencyStats stats;
+  std::size_t total = 0;
+  for (bool any = true; any;) {
+    any = false;
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      if (left[j] == 0) continue;
+      --left[j];
+      any = true;
+      const auto ns = static_cast<std::int64_t>(
+          j % 2 == 0 ? rng.next_in(1, 12) * 250'000
+                     : rng.next_in(1, 5'000'000'000));
+      stats.record(completion_ns(ids[j], ns));
+      ++total;
+    }
+  }
+  ASSERT_EQ(stats.total_latency_all().samples, total);
+  expect_row_percentiles_match_summary(stats);
+}
+
+TEST(LatencyStats, RowPercentilesOfNoSamplesAreZero) {
+  const LatencyPercentiles row = LatencyStats{}.total_latency_percentiles_all();
+  EXPECT_EQ(row.p50_ms, 0.0);
+  EXPECT_EQ(row.p95_ms, 0.0);
+  EXPECT_EQ(row.p99_ms, 0.0);
 }
 
 }  // namespace

@@ -158,6 +158,78 @@ TEST(Percentile, DoesNotMutateInput) {
   EXPECT_EQ(v[2], 3.0);
 }
 
+/// Today's percentile() before selection: copy, fully sort, interpolate.
+/// The reference select_percentiles must match bit for bit.
+double sorted_percentile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  if (values.size() == 1) return values.front();
+  const double rank = q / 100.0 * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] + frac * (values[hi] - values[lo]);
+}
+
+TEST(SelectPercentiles, MatchesSortedReferenceBitForBit) {
+  // Few distinct values (paper_fcfs trials have under 200 distinct
+  // latencies among 140K samples) and continuous data, n from 1 to 2000,
+  // with fixed and random ascending q sets that repeat values.
+  const std::vector<std::vector<double>> fixed_q_sets = {
+      {0.0, 50.0, 95.0, 99.0, 100.0},
+      {50.0, 95.0, 99.0},
+      {50.0, 50.0, 50.0},
+      {0.0, 0.0, 100.0, 100.0},
+      {95.0, 95.0, 99.0, 99.0, 99.0},
+      {99.9, 100.0}};
+  const double q_pool[] = {0.0, 1.0, 25.0, 33.3, 50.0, 95.0, 99.0, 99.9,
+                           100.0};
+  Xoshiro256 rng(20261017);
+  std::size_t cases = 0;
+  for (int round = 0; round < 240; ++round) {
+    const std::size_t n = round < 40 ? static_cast<std::size_t>(round + 1)
+                                     : rng.next_in(1, 2000);
+    const bool few_distinct = round % 2 == 0;
+    const std::uint64_t distinct = rng.next_in(1, 180);
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = few_distinct ? 0.25 * static_cast<double>(rng.next_in(1, distinct))
+                       : rng.next_exponential(40.0);
+    }
+    std::vector<std::vector<double>> q_sets = fixed_q_sets;
+    for (int k = 0; k < 4; ++k) {
+      std::vector<double> qs(rng.next_in(1, 6));
+      for (double& q : qs) q = q_pool[rng.next_in(0, std::size(q_pool) - 1)];
+      std::sort(qs.begin(), qs.end());
+      q_sets.push_back(qs);
+    }
+    for (const auto& qs : q_sets) {
+      std::vector<double> work = values;
+      std::vector<double> out(qs.size());
+      select_percentiles(work, qs, out);
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_EQ(out[i], sorted_percentile(values, qs[i]))
+            << "n=" << n << " q=" << qs[i]
+            << (few_distinct ? " few-distinct" : " continuous");
+        EXPECT_EQ(percentile(values, qs[i]), out[i]);
+      }
+      // Selection only reorders: the sample is still the same multiset.
+      std::vector<double> sorted_work = work, sorted_values = values;
+      std::sort(sorted_work.begin(), sorted_work.end());
+      std::sort(sorted_values.begin(), sorted_values.end());
+      ASSERT_EQ(sorted_work, sorted_values);
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 240u * 10u);
+}
+
+TEST(SelectPercentilesDeathTest, DescendingQsAbort) {
+  std::vector<double> values{3.0, 1.0, 2.0};
+  const std::vector<double> qs{95.0, 50.0};
+  std::vector<double> out(qs.size());
+  EXPECT_DEATH(select_percentiles(values, qs, out), "q >= previous_q");
+}
+
 TEST(JainFairness, AllEqualIsOne) {
   std::vector<double> v{4.0, 4.0, 4.0, 4.0};
   EXPECT_DOUBLE_EQ(jain_fairness(v), 1.0);

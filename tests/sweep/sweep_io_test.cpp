@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "workload/scenario_io.h"
+
 namespace adaptbf {
 namespace {
 
@@ -104,6 +109,67 @@ TEST(SweepIo, ZeroRepetitionsFails) {
       "[sweep]\npolicies = none\nscenario = token_allocation\nrepetitions = "
       "0\n");
   EXPECT_FALSE(loaded.ok());
+}
+
+TEST(SweepIo, RepetitionsAndGridOstsMustFitTheirFields) {
+  const std::string head =
+      "[sweep]\npolicies = none\nscenario = token_allocation\n";
+  // 4294967297 once loaded as 1 repetition.
+  const auto reps = load_sweep(head + "repetitions = 4294967297\n");
+  ASSERT_FALSE(reps.ok());
+  EXPECT_NE(reps.error.find(kValueOutOfRangeError), std::string::npos)
+      << reps.error;
+  EXPECT_NE(reps.error.find("repetitions"), std::string::npos) << reps.error;
+
+  const auto max_osts = load_sweep(head + "[grid]\nosts = 1, 4294967295\n");
+  ASSERT_TRUE(max_osts.ok()) << max_osts.error;
+  EXPECT_EQ(max_osts.spec->ost_counts.back(), UINT32_MAX);
+  const auto osts = load_sweep(head + "[grid]\nosts = 1, 4294967296\n");
+  ASSERT_FALSE(osts.ok());
+  EXPECT_NE(osts.error.find(kValueOutOfRangeError), std::string::npos)
+      << osts.error;
+}
+
+TEST(SweepIo, CapsTrialsInTheGrid) {
+  // The cap is on the whole grid: 4 policies x repetitions here.
+  const std::string head =
+      "[sweep]\npolicies = none, static, adaptive, gift\n"
+      "scenario = token_allocation\n";
+  const auto at_cap = load_sweep(
+      head + "repetitions = " + std::to_string(kMaxSweepTrials / 4) + "\n");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.error;
+  EXPECT_EQ(at_cap.spec->trial_count(), kMaxSweepTrials);
+
+  const auto over = load_sweep(
+      head + "repetitions = " + std::to_string(kMaxSweepTrials / 4 + 1) +
+      "\n");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.error.find(kTooManyTrialsError), 0u) << over.error;
+
+  // One policy: the largest accepted repetitions is the cap itself.
+  const std::string one =
+      "[sweep]\npolicies = none\nscenario = token_allocation\n";
+  EXPECT_TRUE(load_sweep(one + "repetitions = " +
+                         std::to_string(kMaxSweepTrials) + "\n")
+                  .ok());
+  EXPECT_FALSE(load_sweep(one + "repetitions = " +
+                          std::to_string(kMaxSweepTrials + 1) + "\n")
+                   .ok());
+}
+
+TEST(SweepIo, TrialCapHoldsWhenTheGridProductPassesSixtyFourBits) {
+  // 4 x 2^15 x 2^16 x 2^31 = 2^64 trials: a wrapping product reads 0.
+  std::string text =
+      "[sweep]\npolicies = none, static, adaptive, gift\n"
+      "scenario = token_allocation\nrepetitions = 2147483648\n"
+      "[grid]\nosts = 1";
+  for (int i = 1; i < (1 << 15); ++i) text += ", 1";
+  text += "\ntoken_rate = 1";
+  for (int i = 1; i < (1 << 16); ++i) text += ", 1";
+  text += "\n";
+  const auto loaded = load_sweep(text);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error.find(kTooManyTrialsError), 0u) << loaded.error;
 }
 
 TEST(SweepIo, BadGridValueFails) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "support/random.h"
 #include "workload/scenario.h"
 
@@ -45,6 +47,18 @@ TEST(SweepSpec, EmptyAxesCountAsOne) {
   sweep.scenarios.push_back({"a", tiny_scenario()});
   sweep.policies = {BwControl::kNone};
   EXPECT_EQ(sweep.trial_count(), 1u);
+}
+
+TEST(SweepSpec, TrialCountSaturatesInsteadOfWrapping) {
+  SweepSpec sweep = tiny_sweep();
+  sweep.scenarios.resize(1);
+  sweep.policies.assign(4, BwControl::kNone);
+  sweep.ost_counts.assign(std::size_t{1} << 15, 1);
+  sweep.token_rates.assign(std::size_t{1} << 16, 1.0);
+  sweep.repetitions = 1u << 31;  // 2^64 trials in all
+  EXPECT_EQ(sweep.trial_count(), SIZE_MAX);
+  sweep.policies.clear();
+  EXPECT_EQ(sweep.trial_count(), 0u);
 }
 
 TEST(SweepSpec, IndicesAreDenseAndRowMajor) {

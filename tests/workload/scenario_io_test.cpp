@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace adaptbf {
@@ -150,6 +151,54 @@ TEST(ScenarioIo, CapsTotalProcessesAfterCountExpansion) {
   ASSERT_FALSE(huge.ok());
   EXPECT_NE(huge.error.find(kTooManyProcessesError), std::string::npos)
       << huge.error;
+}
+
+TEST(ScenarioIo, RejectsCountsThatDoNotFitTheirFields) {
+  // Each key at its largest accepted value loads; one over it fails with
+  // the named error instead of wrapping into the 32-bit field.
+  const std::string job = "[job.1]\nprocess = continuous total=1\n";
+  auto load_with = [&](const std::string& section, const std::string& key,
+                       std::uint64_t value) {
+    const std::string line = key + " = " + std::to_string(value) + "\n";
+    return section == "job.1"
+               ? load_scenario("[job.1]\n" + line +
+                               "process = continuous total=1\n")
+               : load_scenario("[" + section + "]\n" + line + job);
+  };
+  struct Case {
+    const char* section;
+    const char* key;
+    std::uint64_t max;
+  };
+  for (const Case& c : {Case{"server", "osts", UINT32_MAX},
+                        Case{"server", "threads", UINT32_MAX},
+                        Case{"client", "rpc_size_kib", kMaxRpcSizeKib},
+                        Case{"client", "max_inflight", UINT32_MAX},
+                        Case{"job.1", "nodes", UINT32_MAX}}) {
+    const auto at_max = load_with(c.section, c.key, c.max);
+    EXPECT_TRUE(at_max.ok()) << c.key << ": " << at_max.error;
+    const auto over = load_with(c.section, c.key, c.max + 1);
+    ASSERT_FALSE(over.ok()) << c.key;
+    EXPECT_NE(over.error.find(kValueOutOfRangeError), std::string::npos)
+        << over.error;
+    EXPECT_NE(over.error.find(c.key), std::string::npos) << over.error;
+  }
+
+  const auto threads = load_with("server", "threads", UINT32_MAX);
+  ASSERT_TRUE(threads.ok());
+  EXPECT_EQ(threads.spec->num_threads, UINT32_MAX);
+  const auto rpc = load_with("client", "rpc_size_kib", kMaxRpcSizeKib);
+  ASSERT_TRUE(rpc.ok());
+  EXPECT_EQ(rpc.spec->rpc_size_bytes,
+            static_cast<std::uint64_t>(kMaxRpcSizeKib) * 1024);
+  // 4194304 KiB is 2^32 bytes: it once loaded as a 0-byte RPC size.
+  EXPECT_EQ(kMaxRpcSizeKib + 1, 4194304u);
+  // Past 64 bits too, and in the other direction.
+  EXPECT_FALSE(load_scenario("[server]\nthreads = 99999999999999999999\n" +
+                             job)
+                   .ok());
+  EXPECT_FALSE(load_scenario("[server]\nthreads = -4294967295\n" + job).ok());
+  EXPECT_FALSE(load_scenario("[server]\nthreads = many\n" + job).ok());
 }
 
 TEST(ScenarioIo, RejectsJoblessScenario) {
