@@ -1,5 +1,7 @@
 #include "cluster/experiment.h"
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -50,6 +52,24 @@ std::size_t estimate_peak_events(const ScenarioSpec& spec) {
   const std::size_t estimate =
       processes * per_process + spec.num_osts * per_ost + 64;
   return std::max<std::size_t>(estimate, 256);
+}
+
+std::size_t estimate_completions(const ScenarioSpec& spec,
+                                 double max_token_rate) {
+  std::uint64_t declared = 0;
+  for (const auto& job : spec.jobs)
+    for (const auto& pattern : job.processes)
+      declared = pattern.total_rpcs > UINT64_MAX - declared
+                     ? UINT64_MAX
+                     : declared + pattern.total_rpcs;
+  std::uint64_t bound = std::min<std::uint64_t>(declared,
+                                                kMaxReservedCompletions);
+  const double admitted =
+      static_cast<double>(spec.num_osts) *
+      std::ceil(max_token_rate * spec.duration.to_seconds());
+  if (admitted < static_cast<double>(bound))
+    bound = static_cast<std::uint64_t>(admitted);
+  return static_cast<std::size_t>(bound);
 }
 
 std::vector<std::pair<JobId, std::string>> ExperimentResult::job_labels()
@@ -114,6 +134,7 @@ ExperimentResult run_experiment(const ScenarioSpec& spec,
   result.control = spec.control;
   result.max_token_rate = max_token_rate;
   result.timeline = ThroughputTimeline(spec.timeline_bin);
+  result.latency.reserve(estimate_completions(spec, max_token_rate));
   oss.add_completion_hook([&result](const RpcCompletion& completion) {
     result.timeline.record(completion.rpc.job, completion.rpc.size_bytes,
                            completion.end_service);

@@ -107,6 +107,19 @@ struct ExperimentOptions {
 /// under-reserved million-client ones.
 [[nodiscard]] std::size_t estimate_peak_events(const ScenarioSpec& spec);
 
+/// Ceiling on the latency-log records a trial reserves up front (16 Mi
+/// records, about 200 MB). A trial that completes more grows the log.
+inline constexpr std::size_t kMaxReservedCompletions = std::size_t{1} << 24;
+
+/// RPCs a trial can complete, used to reserve its latency log once: no
+/// more than its processes declare, nor than its OSTs admit at the
+/// trial's `max_token_rate` (T_i, positive) over the duration, nor
+/// kMaxReservedCompletions. Each of the first two alone can be absurd
+/// (`total` is an unchecked u64 in scenario files, the rate and duration
+/// unchecked doubles).
+[[nodiscard]] std::size_t estimate_completions(const ScenarioSpec& spec,
+                                               double max_token_rate);
+
 /// Runs one scenario to its horizon. Deterministic: equal specs give
 /// bit-identical results.
 [[nodiscard]] ExperimentResult run_experiment(const ScenarioSpec& spec,

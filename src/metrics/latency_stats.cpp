@@ -1,8 +1,11 @@
 #include "metrics/latency_stats.h"
 
+#include <algorithm>
 #include <iterator>
 #include <span>
+#include <utility>
 
+#include "rpc/job_slots.h"
 #include "support/stats.h"
 
 namespace adaptbf {
@@ -18,14 +21,6 @@ LatencyPercentiles select_p50_p95_p99(std::span<double> values) {
 }
 
 }  // namespace
-
-void LatencyStats::record(const RpcCompletion& completion) {
-  const std::uint32_t slot = slots_.insert(completion.rpc.job);
-  if (slot == samples_.size()) samples_.emplace_back();
-  Samples& samples = samples_[slot];
-  samples.total_ms.push_back(completion.latency().to_seconds() * 1e3);
-  samples.queue_ms.push_back(completion.queue_delay().to_seconds() * 1e3);
-}
 
 LatencySummary LatencyStats::summarize(std::vector<double> values) {
   LatencySummary summary;
@@ -43,51 +38,54 @@ LatencySummary LatencyStats::summarize(std::vector<double> values) {
   return summary;
 }
 
-std::vector<double> LatencyStats::pooled_total_ms() const {
-  std::size_t count = 0;
-  for (const Samples& samples : samples_) count += samples.total_ms.size();
-  std::vector<double> all;
-  all.reserve(count);
-  for (std::uint32_t slot : slots_.ascending())
-    all.insert(all.end(), samples_[slot].total_ms.begin(),
-               samples_[slot].total_ms.end());
-  return all;
-}
-
-const LatencyStats::Samples* LatencyStats::find(JobId job) const {
-  const std::uint32_t slot = slots_.find(job);
-  return slot == JobSlots::kNone ? nullptr : &samples_[slot];
+std::vector<double> LatencyStats::pooled_by_job() const {
+  // One bucketing pass: count each job's samples, lay the jobs' ranges out
+  // in ascending JobId order, then place every sample at its job's cursor.
+  JobSlots slots;
+  std::vector<std::uint32_t> slot_of(job_.size());
+  for (std::size_t i = 0; i < job_.size(); ++i)
+    slot_of[i] = slots.insert(job_[i]);
+  std::vector<std::size_t> cursor(slots.size(), 0);
+  for (std::uint32_t slot : slot_of) ++cursor[slot];
+  std::size_t offset = 0;
+  for (std::uint32_t slot : slots.ascending()) {
+    const std::size_t count = cursor[slot];
+    cursor[slot] = offset;
+    offset += count;
+  }
+  std::vector<double> pooled(total_ms_.size());
+  for (std::size_t i = 0; i < total_ms_.size(); ++i)
+    pooled[cursor[slot_of[i]]++] = total_ms_[i];
+  return pooled;
 }
 
 LatencySummary LatencyStats::total_latency(JobId job) const {
-  const Samples* samples = find(job);
-  return samples == nullptr ? LatencySummary{} : summarize(samples->total_ms);
-}
-
-LatencySummary LatencyStats::queue_delay(JobId job) const {
-  const Samples* samples = find(job);
-  return samples == nullptr ? LatencySummary{} : summarize(samples->queue_ms);
+  std::vector<double> values;
+  for (std::size_t i = 0; i < job_.size(); ++i)
+    if (job_[i] == job) values.push_back(total_ms_[i]);
+  return summarize(std::move(values));
 }
 
 LatencySummary LatencyStats::total_latency_all() const {
-  return summarize(pooled_total_ms());
+  return summarize(pooled_by_job());
 }
 
 LatencyPercentiles LatencyStats::total_latency_percentiles_all() const {
-  std::vector<double> all = pooled_total_ms();
+  std::vector<double> all = total_ms_;
   return all.empty() ? LatencyPercentiles{} : select_p50_p95_p99(all);
 }
 
 std::vector<JobId> LatencyStats::jobs() const {
+  JobSlots slots;
+  for (JobId job : job_) slots.insert(job);
   std::vector<JobId> ids;
-  ids.reserve(slots_.size());
-  for (std::uint32_t slot : slots_.ascending()) ids.push_back(slots_.job(slot));
+  ids.reserve(slots.size());
+  for (std::uint32_t slot : slots.ascending()) ids.push_back(slots.job(slot));
   return ids;
 }
 
 std::size_t LatencyStats::samples(JobId job) const {
-  const Samples* samples = find(job);
-  return samples == nullptr ? 0 : samples->total_ms.size();
+  return static_cast<std::size_t>(std::count(job_.begin(), job_.end(), job));
 }
 
 }  // namespace adaptbf

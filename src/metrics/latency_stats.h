@@ -4,12 +4,12 @@
 // clears than by mean bandwidth: a bursty job emitting 96 RPCs every few
 // seconds shows the same MiB/s under any policy that eventually serves it,
 // but its burst-completion latency differs wildly. This collector keeps
-// per-job queue-delay and total-latency samples and reports percentiles.
+// every RPC's total latency and reports per-job and pooled percentiles.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "rpc/job_slots.h"
 #include "rpc/rpc.h"
 #include "sim/time.h"
 
@@ -34,15 +34,21 @@ struct LatencyPercentiles {
 
 class LatencyStats {
  public:
-  /// Records one completed RPC.
-  void record(const RpcCompletion& completion);
+  /// Room for `completions` records before the log grows.
+  void reserve(std::size_t completions) {
+    total_ms_.reserve(completions);
+    job_.reserve(completions);
+  }
+
+  /// Records one completed RPC: two appends, no per-job lookup.
+  void record(const RpcCompletion& completion) {
+    total_ms_.push_back(completion.latency().to_seconds() * 1e3);
+    job_.push_back(completion.rpc.job);
+  }
 
   /// Percentile summary of total latency (issue -> completion) for a job.
   /// Zeroed summary if the job has no samples.
   [[nodiscard]] LatencySummary total_latency(JobId job) const;
-
-  /// Percentile summary of queueing delay (issue -> service start).
-  [[nodiscard]] LatencySummary queue_delay(JobId job) const;
 
   /// Summary across all jobs.
   [[nodiscard]] LatencySummary total_latency_all() const;
@@ -51,27 +57,24 @@ class LatencyStats {
   /// if no RPC completed.
   [[nodiscard]] LatencyPercentiles total_latency_percentiles_all() const;
 
+  /// Every job with a sample, in ascending JobId order.
   [[nodiscard]] std::vector<JobId> jobs() const;
   [[nodiscard]] std::size_t samples(JobId job) const;
 
  private:
-  struct Samples {
-    std::vector<double> total_ms;
-    std::vector<double> queue_ms;
-  };
   static LatencySummary summarize(std::vector<double> values);
-  /// Every job's total-latency samples in one buffer of the exact size,
-  /// job by job in ascending JobId order.
-  [[nodiscard]] std::vector<double> pooled_total_ms() const;
-  [[nodiscard]] const Samples* find(JobId job) const;
+  /// Every sample in one buffer of the exact size, job by job in ascending
+  /// JobId order, each job's in completion order.
+  [[nodiscard]] std::vector<double> pooled_by_job() const;
 
-  // Per-slot storage. total_latency_all() folds samples across jobs and
-  // floating-point accumulation is rounding-order-sensitive, so every
-  // cross-job walk goes through slots_.ascending(), never slot order
-  // (lint: unordered-output). Percentiles are order statistics, selected
-  // exactly on one buffer, so pooling order cannot change them.
-  JobSlots slots_;
-  std::vector<Samples> samples_;  ///< By job slot.
+  // The log, in completion order: entry i is one RPC's total latency and
+  // its job. total_latency_all() folds samples across jobs and
+  // floating-point accumulation is rounding-order-sensitive, so it pools
+  // job by job in ascending JobId order, never in log order (lint:
+  // unordered-output). Percentiles are order statistics, selected exactly
+  // on one buffer, so they are taken from the log as it stands.
+  std::vector<double> total_ms_;
+  std::vector<JobId> job_;
 };
 
 }  // namespace adaptbf

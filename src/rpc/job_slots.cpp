@@ -5,9 +5,7 @@
 
 namespace adaptbf {
 
-std::uint32_t JobSlots::insert(JobId job) {
-  const std::uint32_t existing = find(job);
-  if (existing != kNone) return existing;
+std::uint32_t JobSlots::insert_new(JobId job) {
   if ((jobs_.size() + 1) * 2 > table_.size())
     rehash(std::max<std::size_t>(8, table_.size() * 2));
   const auto slot = static_cast<std::uint32_t>(jobs_.size());

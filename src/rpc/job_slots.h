@@ -34,8 +34,12 @@ class JobSlots {
   }
 
   /// Slot of `job`, assigning the next free one (== size() before the
-  /// call) on first sight.
-  std::uint32_t insert(JobId job);
+  /// call) on first sight. The hit path is find() inline; only a job's
+  /// first sight takes the out-of-line call.
+  std::uint32_t insert(JobId job) {
+    const std::uint32_t slot = find(job);
+    return slot != kNone ? slot : insert_new(job);
+  }
 
   [[nodiscard]] std::size_t size() const { return jobs_.size(); }
   [[nodiscard]] JobId job(std::uint32_t slot) const { return jobs_[slot]; }
@@ -50,6 +54,8 @@ class JobSlots {
     return static_cast<std::size_t>(
         (job.value() * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
+  /// insert() for a job find() did not see.
+  std::uint32_t insert_new(JobId job);
   void rehash(std::size_t capacity);
 
   std::vector<std::uint32_t> table_;  ///< slot + 1; 0 = empty

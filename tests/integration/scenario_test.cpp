@@ -108,6 +108,34 @@ TEST(Experiment, HorizonIsFullDurationWithoutIdleStop) {
   EXPECT_DOUBLE_EQ(result.horizon.to_seconds(), 20.0);
 }
 
+TEST(Experiment, HugeDeclaredTotalDoesNotSizeTheLatencyLog) {
+  // `total` is an unchecked u64 in scenario files. The latency log is
+  // reserved from the smaller of the declared total and what the OST can
+  // admit over the duration, so 2^62 RPCs in a 1 s trial reserve a few
+  // hundred records, not 2^62 (which makes reserve() throw).
+  auto spec = small_scenario(BwControl::kNone);
+  spec.duration = SimDuration::seconds(1);
+  spec.stop_when_idle = false;
+  spec.jobs[0].processes = {continuous_pattern(std::uint64_t{1} << 62)};
+  const auto result = run_experiment(spec);
+  EXPECT_DOUBLE_EQ(result.horizon.to_seconds(), 1.0);
+  EXPECT_GT(result.jobs[0].rpcs_completed, 0u);
+  EXPECT_EQ(result.latency.samples(JobId(1)), result.jobs[0].rpcs_completed);
+}
+
+TEST(Experiment, CompletionEstimateTakesTheSmallestBound) {
+  auto spec = small_scenario(BwControl::kNone);  // 4 x 256 RPCs declared
+  spec.duration = SimDuration::seconds(1);
+  EXPECT_EQ(estimate_completions(spec, 1e6), 1024u);
+  EXPECT_EQ(estimate_completions(spec, 200.5), 201u);
+  spec.num_osts = 3;
+  EXPECT_EQ(estimate_completions(spec, 200.5), 603u);
+  // Totals that overflow u64 saturate, and an absurd rate leaves only the
+  // fixed ceiling.
+  for (auto& process : spec.jobs[0].processes) process.total_rpcs = UINT64_MAX;
+  EXPECT_EQ(estimate_completions(spec, 1e300), kMaxReservedCompletions);
+}
+
 TEST(Experiment, MaxTokenRateDerivedFromDisk) {
   const auto result = run_experiment(small_scenario(BwControl::kAdaptive));
   // 200 MiB/s over 1 MiB RPCs, zero overhead => 200 tokens/s.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -35,12 +36,6 @@ TEST(LatencyStats, TotalLatencyIsIssueToEnd) {
   EXPECT_EQ(summary.samples, 1u);
   EXPECT_DOUBLE_EQ(summary.mean_ms, 30.0);
   EXPECT_DOUBLE_EQ(summary.max_ms, 30.0);
-}
-
-TEST(LatencyStats, QueueDelayIsIssueToStart) {
-  LatencyStats stats;
-  stats.record(completion(1, 0, 10, 30));
-  EXPECT_DOUBLE_EQ(stats.queue_delay(JobId(1)).mean_ms, 10.0);
 }
 
 TEST(LatencyStats, PercentilesOrdered) {
@@ -128,7 +123,6 @@ TEST(LatencyStats, SparseJobIdsFoldInAscendingOrder) {
   EXPECT_EQ(all.p50_ms, ascending.second);
   EXPECT_EQ(stats.samples(JobId(3)), 2u);
   EXPECT_EQ(stats.total_latency(JobId(7)).samples, 1u);
-  EXPECT_EQ(stats.queue_delay(JobId(4000000000u)).samples, 2u);
 }
 
 void expect_row_percentiles_match_summary(const LatencyStats& stats) {
@@ -179,6 +173,111 @@ TEST(LatencyStats, RowPercentilesOfNoSamplesAreZero) {
   EXPECT_EQ(row.p50_ms, 0.0);
   EXPECT_EQ(row.p95_ms, 0.0);
   EXPECT_EQ(row.p99_ms, 0.0);
+}
+
+/// The per-job layout the completion log replaced: one vector of samples
+/// per job, each in completion order, pooled job by job in ascending JobId
+/// order for the cross-job queries.
+class PerJobReference {
+ public:
+  void record(const RpcCompletion& completion) {
+    samples_[completion.rpc.job.value()].push_back(
+        completion.latency().to_seconds() * 1e3);
+  }
+
+  [[nodiscard]] LatencySummary total_latency(JobId job) const {
+    const auto it = samples_.find(job.value());
+    return it == samples_.end() ? LatencySummary{} : summarize(it->second);
+  }
+  [[nodiscard]] std::size_t samples(JobId job) const {
+    const auto it = samples_.find(job.value());
+    return it == samples_.end() ? 0 : it->second.size();
+  }
+  [[nodiscard]] std::vector<JobId> jobs() const {
+    std::vector<JobId> ids;
+    for (const auto& [job, values] : samples_) ids.emplace_back(job);
+    return ids;
+  }
+  [[nodiscard]] std::vector<double> pooled() const {
+    std::vector<double> all;
+    for (const auto& [job, values] : samples_)
+      all.insert(all.end(), values.begin(), values.end());
+    return all;
+  }
+
+  static LatencySummary summarize(const std::vector<double>& values) {
+    LatencySummary summary;
+    if (values.empty()) return summary;
+    summary.samples = values.size();
+    StreamingStats stats;
+    for (double v : values) stats.add(v);
+    summary.mean_ms = stats.mean();
+    summary.max_ms = stats.max();
+    summary.p50_ms = percentile(values, 50.0);
+    summary.p95_ms = percentile(values, 95.0);
+    summary.p99_ms = percentile(values, 99.0);
+    return summary;
+  }
+
+ private:
+  std::map<std::uint32_t, std::vector<double>> samples_;
+};
+
+void expect_same_summary(const LatencySummary& got,
+                         const LatencySummary& want) {
+  EXPECT_EQ(got.samples, want.samples);
+  EXPECT_EQ(got.mean_ms, want.mean_ms);
+  EXPECT_EQ(got.p50_ms, want.p50_ms);
+  EXPECT_EQ(got.p95_ms, want.p95_ms);
+  EXPECT_EQ(got.p99_ms, want.p99_ms);
+  EXPECT_EQ(got.max_ms, want.max_ms);
+}
+
+TEST(LatencyStats, LogMatchesPerJobLayoutBitForBit) {
+  // Sparse ids (3, 7, 4000000000 and 50 random others), each with its own
+  // number of completions, recorded in a seeded random interleaving.
+  // Latencies run from 1 ns to about 1000 s, so pooling the mean in any
+  // other order rounds differently.
+  Xoshiro256 rng(2024);
+  std::vector<std::uint32_t> ids = {3, 7, 4000000000u};
+  while (ids.size() < 53)
+    ids.push_back(static_cast<std::uint32_t>(rng.next_in(1, 3999999999u)));
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t id : ids)
+    for (std::uint64_t n = rng.next_in(1, 60); n > 0; --n) order.push_back(id);
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rng.next_in(0, i - 1)]);
+
+  LatencyStats stats;
+  PerJobReference reference;
+  std::vector<double> log_order;
+  for (std::uint32_t id : order) {
+    const auto ns = static_cast<std::int64_t>(
+        rng.next_in(1, 1000) << rng.next_in(0, 30));
+    const RpcCompletion c = completion_ns(id, ns);
+    stats.record(c);
+    reference.record(c);
+    log_order.push_back(c.latency().to_seconds() * 1e3);
+  }
+
+  const LatencySummary want_all =
+      PerJobReference::summarize(reference.pooled());
+  // The check has teeth: pooling in completion order gives another mean.
+  ASSERT_NE(PerJobReference::summarize(log_order).mean_ms, want_all.mean_ms);
+
+  expect_same_summary(stats.total_latency_all(), want_all);
+  const LatencyPercentiles row = stats.total_latency_percentiles_all();
+  EXPECT_EQ(row.p50_ms, want_all.p50_ms);
+  EXPECT_EQ(row.p95_ms, want_all.p95_ms);
+  EXPECT_EQ(row.p99_ms, want_all.p99_ms);
+  EXPECT_EQ(stats.jobs(), reference.jobs());
+  for (JobId job : reference.jobs()) {
+    SCOPED_TRACE(job.value());
+    EXPECT_EQ(stats.samples(job), reference.samples(job));
+    expect_same_summary(stats.total_latency(job), reference.total_latency(job));
+  }
+  EXPECT_EQ(stats.samples(JobId(5)), 0u);
+  expect_same_summary(stats.total_latency(JobId(5)), LatencySummary{});
 }
 
 }  // namespace
