@@ -19,12 +19,13 @@
 // experiment_summary_allocs_per_trial counts the allocations of that step
 // alone (an exact count, gated by its own ceiling there) and
 // experiment_summary_ms_per_trial times it (informational). The
-// experiment_* keys above exclude the summary.
+// experiment_* keys above exclude the summary. callback_heap_spills sums
+// the per-queue spill counters of every simulator the bench ran.
 //
-// Usage: sim_core_bench [--events N] [--trials N] [--queue heap|calendar|both]
-//                       [--require-zero-alloc]
+// Usage: sim_core_bench [--events N] [--trials N] [--require-zero-alloc]
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +33,7 @@
 
 #include "cluster/experiment.h"
 #include "sim/simulator.h"
+#include "support/ini.h"
 #include "sweep/sweep_runner.h"
 #include "workload/scenarios_paper.h"
 
@@ -113,12 +115,13 @@ struct Ring {
 struct ChurnResult {
   double events_per_sec = 0.0;
   double allocs_per_event = 0.0;
+  std::uint64_t callback_heap_spills = 0;
 };
 
 /// Same-timestamp storm: every chain re-schedules onto a shared 4096 ns
 /// grid, 1-2 quanta ahead, so each tick fires a cohort of hundreds of
-/// simultaneous events — the PS-disk-completion-tie / periodic-storm shape
-/// that batched dispatch targets.
+/// simultaneous events — the PS-disk-completion-tie / periodic-storm shape,
+/// kept under the allocation-free contract like the other series.
 struct Storm {
   static constexpr std::int64_t kQuantumNs = 4096;
 
@@ -146,9 +149,9 @@ struct Storm {
   }
 };
 
-ChurnResult bench_churn(std::uint64_t events, QueueBackend backend) {
+ChurnResult bench_churn(std::uint64_t events) {
   constexpr int kChains = 512;
-  Simulator sim(Simulator::Config{backend, /*batched_dispatch=*/true});
+  Simulator sim;
   sim.reserve_events(kChains + 8);
   Ring ring{sim};
 
@@ -169,13 +172,13 @@ ChurnResult bench_churn(std::uint64_t events, QueueBackend backend) {
   result.events_per_sec = static_cast<double>(events) / elapsed;
   result.allocs_per_event =
       static_cast<double>(allocation_delta) / static_cast<double>(events);
+  result.callback_heap_spills = sim.queue_stats().callback_heap_spills;
   return result;
 }
 
-ChurnResult bench_storm(std::uint64_t events, QueueBackend backend,
-                        bool batched) {
+ChurnResult bench_storm(std::uint64_t events) {
   constexpr int kChains = 512;
-  Simulator sim(Simulator::Config{backend, batched});
+  Simulator sim;
   sim.reserve_events(kChains + 8);
   Storm storm{sim};
 
@@ -195,14 +198,15 @@ ChurnResult bench_storm(std::uint64_t events, QueueBackend backend,
   result.events_per_sec = static_cast<double>(events) / elapsed;
   result.allocs_per_event =
       static_cast<double>(allocation_delta) / static_cast<double>(events);
+  result.callback_heap_spills = sim.queue_stats().callback_heap_spills;
   return result;
 }
 
-ChurnResult bench_cancel(std::uint64_t pairs, QueueBackend backend) {
+ChurnResult bench_cancel(std::uint64_t pairs) {
   // Schedule-then-cancel against a populated queue: the O(1)-lookup cancel
-  // path (slot generation check + direct structure removal, no hash sets).
+  // path (slot generation check + direct heap removal, no hash sets).
   constexpr int kPending = 4096;
-  Simulator sim(Simulator::Config{backend, /*batched_dispatch=*/true});
+  Simulator sim;
   sim.reserve_events(kPending + 8);
   for (int i = 0; i < kPending; ++i)
     sim.schedule_at(SimTime(1'000'000'000 + i), [] {});
@@ -228,6 +232,7 @@ ChurnResult bench_cancel(std::uint64_t pairs, QueueBackend backend) {
   result.events_per_sec = static_cast<double>(pairs) / elapsed;
   result.allocs_per_event =
       static_cast<double>(allocation_delta) / static_cast<double>(pairs);
+  result.callback_heap_spills = sim.queue_stats().callback_heap_spills;
   return result;
 }
 
@@ -238,21 +243,22 @@ struct TrialResultStats {
   double schedules_per_event = 0.0;
   double summary_allocs_per_trial = 0.0;
   double summary_ms_per_trial = 0.0;
+  std::uint64_t callback_heap_spills = 0;
 };
 
-TrialResultStats bench_trials(int trials, QueueBackend backend) {
+TrialResultStats bench_trials(int trials) {
   // Full run_experiment trials of a paper scenario: the number every
   // campaign backend (threaded, sharded, dispatched) multiplies. Runs the
   // way a sweep worker does — one simulator reset() and reused per trial.
   const ScenarioSpec spec = scenario_token_allocation(BwControl::kAdaptive);
-  Simulator sim(Simulator::Config{backend, /*batched_dispatch=*/true});
+  Simulator sim;
   ExperimentOptions options = ExperimentOptions::without_trace();
-  options.queue_backend = backend;
   options.simulator = &sim;
   std::uint64_t events = 0;
   std::uint64_t rpcs = 0;
   std::uint64_t scheduled = 0;
   std::uint64_t fired = 0;
+  std::uint64_t spills = 0;
   TrialSpec trial;
   trial.scenario = "token_allocation";
   trial.policy = BwControl::kAdaptive;
@@ -271,6 +277,7 @@ TrialResultStats bench_trials(int trials, QueueBackend backend) {
     events += result.events_dispatched;
     scheduled += result.queue_stats.scheduled;
     fired += result.queue_stats.fired;
+    spills += result.queue_stats.callback_heap_spills;
     for (const auto& job : result.jobs) rpcs += job.rpcs_completed;
   }
   const double elapsed = seconds_since(start) - summary_seconds;
@@ -286,130 +293,84 @@ TrialResultStats bench_trials(int trials, QueueBackend backend) {
   stats.summary_allocs_per_trial =
       static_cast<double>(summary_allocations) / trials;
   stats.summary_ms_per_trial = summary_seconds * 1e3 / trials;
+  stats.callback_heap_spills = spills;
   return stats;
 }
 
-struct BackendSeries {
-  ChurnResult churn;
-  ChurnResult cancel;
-  ChurnResult storm_batched;
-  ChurnResult storm_single;
-  TrialResultStats experiment;
-};
-
-BackendSeries run_backend(QueueBackend backend, std::uint64_t events,
-                          int trials) {
-  BackendSeries series;
-  series.churn = bench_churn(events, backend);
-  series.cancel = bench_cancel(events / 2, backend);
-  series.storm_batched = bench_storm(events, backend, /*batched=*/true);
-  series.storm_single = bench_storm(events, backend, /*batched=*/false);
-  series.experiment = bench_trials(trials, backend);
-  return series;
-}
-
-/// Prints one backend's series. The heap backend prints unprefixed keys —
-/// the exact key set earlier schema versions emitted, which the CI floor
-/// gate greps ("events_per_sec") — the calendar backend the same keys
-/// under a "calendar_" prefix.
-void print_series(const char* prefix, const BackendSeries& series,
-                  int trials) {
-  std::printf("%sevents_per_sec %.0f\n", prefix, series.churn.events_per_sec);
-  std::printf("%ssteady_allocs_per_event %.8f\n", prefix,
-              series.churn.allocs_per_event);
-  std::printf("%scancel_pairs_per_sec %.0f\n", prefix,
-              series.cancel.events_per_sec);
-  std::printf("%ssteady_allocs_per_cancel %.8f\n", prefix,
-              series.cancel.allocs_per_event);
-  std::printf("%sstorm_batched_events_per_sec %.0f\n", prefix,
-              series.storm_batched.events_per_sec);
-  std::printf("%sstorm_single_pop_events_per_sec %.0f\n", prefix,
-              series.storm_single.events_per_sec);
-  std::printf("%sstorm_batch_speedup %.3f\n", prefix,
-              series.storm_batched.events_per_sec /
-                  series.storm_single.events_per_sec);
-  std::printf("%sstorm_allocs_per_event %.8f\n", prefix,
-              series.storm_batched.allocs_per_event);
-  std::printf("%sexperiment_trials %d\n", prefix, trials);
-  std::printf("%strials_per_sec %.3f\n", prefix,
-              series.experiment.trials_per_sec);
-  std::printf("%sexperiment_events_per_sec %.0f\n", prefix,
-              series.experiment.events_per_sec);
-  std::printf("%sexperiment_allocs_per_rpc %.6f\n", prefix,
-              series.experiment.allocs_per_rpc);
-  std::printf("%sexperiment_schedules_per_event %.6f\n", prefix,
-              series.experiment.schedules_per_event);
-  std::printf("%sexperiment_summary_allocs_per_trial %.3f\n", prefix,
-              series.experiment.summary_allocs_per_trial);
-  std::printf("%sexperiment_summary_ms_per_trial %.3f\n", prefix,
-              series.experiment.summary_ms_per_trial);
+/// Parses a strictly decimal count in [1, max]; anything else (a sign,
+/// trailing characters, zero, out of range) is a usage error.
+bool parse_count(const char* flag, const char* text, std::uint64_t max,
+                 std::uint64_t& out) {
+  std::uint64_t value = 0;
+  if (!parse_u64(text, value) || value == 0 || value > max) {
+    std::fprintf(stderr,
+                 "sim_core_bench: %s must be an integer in [1, %llu], got "
+                 "'%s'\n",
+                 flag, static_cast<unsigned long long>(max), text);
+    return false;
+  }
+  out = value;
+  return true;
 }
 
 int run(int argc, char** argv) {
   std::uint64_t events = 2'000'000;
-  int trials = 8;
+  std::uint64_t trials = 8;
   bool require_zero_alloc = false;
-  bool run_heap = true;
-  bool run_calendar = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-      events = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_count("--events", argv[++i], UINT64_MAX, events)) return 2;
     } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--queue") == 0 && i + 1 < argc) {
-      const char* which = argv[++i];
-      run_heap = std::strcmp(which, "heap") == 0 ||
-                 std::strcmp(which, "both") == 0;
-      run_calendar = std::strcmp(which, "calendar") == 0 ||
-                     std::strcmp(which, "both") == 0;
-      if (!run_heap && !run_calendar) {
-        std::fprintf(stderr,
-                     "sim_core_bench: --queue must be heap|calendar|both\n");
-        return 2;
-      }
+      if (!parse_count("--trials", argv[++i], INT_MAX, trials)) return 2;
     } else if (std::strcmp(argv[i], "--require-zero-alloc") == 0) {
       require_zero_alloc = true;
     } else {
       std::fprintf(stderr,
                    "usage: sim_core_bench [--events N] [--trials N] "
-                   "[--queue heap|calendar|both] [--require-zero-alloc]\n");
+                   "[--require-zero-alloc]\n");
       return 2;
     }
   }
-  if (events == 0 || trials <= 0) {
-    std::fprintf(stderr, "sim_core_bench: --events and --trials must be > 0\n");
-    return 2;
-  }
 
-  std::printf("schema_version 2\n");
+  const ChurnResult churn = bench_churn(events);
+  const ChurnResult cancel = bench_cancel(events / 2);
+  const ChurnResult storm = bench_storm(events);
+  const TrialResultStats experiment = bench_trials(static_cast<int>(trials));
+
+  std::printf("schema_version 3\n");
   std::printf("events_total %llu\n", static_cast<unsigned long long>(events));
+  std::printf("events_per_sec %.0f\n", churn.events_per_sec);
+  std::printf("steady_allocs_per_event %.8f\n", churn.allocs_per_event);
+  std::printf("cancel_pairs_per_sec %.0f\n", cancel.events_per_sec);
+  std::printf("steady_allocs_per_cancel %.8f\n", cancel.allocs_per_event);
+  std::printf("storm_events_per_sec %.0f\n", storm.events_per_sec);
+  std::printf("storm_allocs_per_event %.8f\n", storm.allocs_per_event);
+  std::printf("experiment_trials %llu\n",
+              static_cast<unsigned long long>(trials));
+  std::printf("trials_per_sec %.3f\n", experiment.trials_per_sec);
+  std::printf("experiment_events_per_sec %.0f\n", experiment.events_per_sec);
+  std::printf("experiment_allocs_per_rpc %.6f\n", experiment.allocs_per_rpc);
+  std::printf("experiment_schedules_per_event %.6f\n",
+              experiment.schedules_per_event);
+  std::printf("experiment_summary_allocs_per_trial %.3f\n",
+              experiment.summary_allocs_per_trial);
+  std::printf("experiment_summary_ms_per_trial %.3f\n",
+              experiment.summary_ms_per_trial);
+  std::printf("callback_heap_spills %llu\n",
+              static_cast<unsigned long long>(
+                  churn.callback_heap_spills + cancel.callback_heap_spills +
+                  storm.callback_heap_spills +
+                  experiment.callback_heap_spills));
 
-  BackendSeries heap_series;
-  if (run_heap) {
-    heap_series = run_backend(QueueBackend::kHeap, events, trials);
-    print_series("", heap_series, trials);
-  }
-  if (run_calendar) {
-    const BackendSeries calendar =
-        run_backend(QueueBackend::kCalendar, events, trials);
-    print_series("calendar_", calendar, trials);
-  }
-  std::printf("callback_heap_fallbacks %llu\n",
-              static_cast<unsigned long long>(EventCallback::heap_fallbacks()));
-
-  // The allocation-free contract is gated on the heap backend (the
-  // default); the calendar series is informational.
-  if (require_zero_alloc && run_heap &&
-      (heap_series.churn.allocs_per_event != 0.0 ||
-       heap_series.cancel.allocs_per_event != 0.0 ||
-       heap_series.storm_batched.allocs_per_event != 0.0)) {
+  if (require_zero_alloc &&
+      (churn.allocs_per_event != 0.0 || cancel.allocs_per_event != 0.0 ||
+       storm.allocs_per_event != 0.0)) {
     std::fprintf(stderr,
                  "sim_core_bench: steady-state scheduling allocated "
                  "(%.8f/event, %.8f/cancel, %.8f/storm-event) — the "
                  "allocation-free contract is broken\n",
-                 heap_series.churn.allocs_per_event,
-                 heap_series.cancel.allocs_per_event,
-                 heap_series.storm_batched.allocs_per_event);
+                 churn.allocs_per_event, cancel.allocs_per_event,
+                 storm.allocs_per_event);
     return 1;
   }
   return 0;

@@ -86,17 +86,12 @@ ExperimentResult run_experiment(const ScenarioSpec& spec,
   ADAPTBF_CHECK(spec.duration > SimDuration(0));
   ADAPTBF_CHECK(spec.num_osts > 0);
 
-  Simulator local_sim(
-      Simulator::Config{options.queue_backend, options.batched_dispatch});
+  Simulator local_sim;
   Simulator* sim_ptr = options.simulator;
   if (sim_ptr != nullptr) {
     // Arena reuse: the caller owns a warmed simulator (one per sweep
     // worker). reset() makes it observationally identical to a fresh one
     // while keeping every pool at capacity.
-    ADAPTBF_CHECK_MSG(
-        sim_ptr->config().backend == options.queue_backend &&
-            sim_ptr->config().batched_dispatch == options.batched_dispatch,
-        "reused simulator's config must match ExperimentOptions");
     sim_ptr->reset();
   } else {
     sim_ptr = &local_sim;

@@ -79,16 +79,9 @@ struct ExperimentOptions {
   /// event as (fire time, schedule sequence). Used by the golden-trace
   /// tests that pin the exact dispatch order of the paper scenarios.
   Simulator::DispatchHook dispatch_hook;
-  /// Event-queue ordering backend for the trial's simulator. Both backends
-  /// produce bit-identical results; kCalendar targets deep-horizon runs.
-  QueueBackend queue_backend = QueueBackend::kHeap;
-  /// Drain same-timestamp cohorts via pop_batch (default) or one pop per
-  /// event; results are bit-identical either way.
-  bool batched_dispatch = true;
   /// Optional externally owned simulator to run the trial on, for arena
-  /// reuse across trials: run_experiment calls reset() first, and the
-  /// simulator's Config must match queue_backend/batched_dispatch above.
-  /// nullptr (the default) runs the trial on a private simulator.
+  /// reuse across trials: run_experiment calls reset() first. nullptr (the
+  /// default) runs the trial on a private simulator.
   Simulator* simulator = nullptr;
 
   /// Sweep default: summaries only, no per-window trace.

@@ -92,35 +92,19 @@ void Simulator::dispatch(EventQueue::Fired& fired) {
   fired.fn();
 }
 
-void Simulator::drain_batch() {
-  queue_.pop_batch();
-  EventQueue::Fired fired;
-  while (queue_.collect_staged(fired)) dispatch(fired);
-}
-
 void Simulator::run_until(SimTime deadline) {
   ADAPTBF_CHECK(deadline >= now_);
   while (!queue_.empty() && queue_.next_time() <= deadline) {
-    if (config_.batched_dispatch) {
-      // Every event staged here carries next_time() <= deadline: the whole
-      // cohort shares one timestamp, so the deadline check holds for all.
-      drain_batch();
-    } else {
-      auto fired = queue_.pop();
-      dispatch(fired);
-    }
+    auto fired = queue_.pop();
+    dispatch(fired);
   }
   now_ = deadline;
 }
 
 void Simulator::run_to_completion() {
   while (!queue_.empty()) {
-    if (config_.batched_dispatch) {
-      drain_batch();
-    } else {
-      auto fired = queue_.pop();
-      dispatch(fired);
-    }
+    auto fired = queue_.pop();
+    dispatch(fired);
   }
 }
 

@@ -25,22 +25,6 @@ namespace adaptbf {
 
 class Simulator {
  public:
-  /// Event-core configuration, fixed at construction.
-  struct Config {
-    QueueBackend backend = QueueBackend::kHeap;
-    /// Batched: drain each same-timestamp cohort via pop_batch (one bulk
-    /// structure repair for the whole cohort); single-pop: one pop per
-    /// event. The dispatch order — and therefore every simulation result —
-    /// is bit-identical either way; single-pop exists as the reference
-    /// mode for the dispatch-equivalence tests.
-    bool batched_dispatch = true;
-  };
-
-  Simulator() : Simulator(Config{}) {}
-  explicit Simulator(Config config) : config_(config), queue_(config.backend) {}
-
-  [[nodiscard]] const Config& config() const { return config_; }
-
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `fn` at absolute time `when`; `when` must not be in the past.
@@ -87,8 +71,8 @@ class Simulator {
 
   /// Rewinds the simulator to its freshly-constructed state — clock at
   /// zero, no pending events or periodics, counters zeroed, dispatch hook
-  /// cleared — while keeping every arena (event slots, ordering structure,
-  /// periodic pool) warm at capacity. Handles from before the reset stay
+  /// cleared — while keeping every arena (event slots, heap, periodic
+  /// pool) warm at capacity. Handles from before the reset stay
   /// safely stale. This is what lets a sweep worker run every trial of a
   /// lease on one simulator instead of rebuilding the pools per trial.
   void reset();
@@ -127,9 +111,7 @@ class Simulator {
   void arm_periodic(std::uint32_t index, std::uint64_t generation);
   void fire_periodic(std::uint32_t index, std::uint64_t generation);
   void dispatch(EventQueue::Fired& fired);
-  void drain_batch();
 
-  Config config_;
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
   std::uint64_t dispatched_ = 0;

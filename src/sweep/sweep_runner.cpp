@@ -109,8 +109,7 @@ std::vector<TrialResult> SweepRunner::run(
     // pool stay warm for the whole lease instead of being rebuilt per
     // trial. Always substituted — a caller-provided simulator shared by
     // N workers would violate the single-threaded simulator invariant.
-    Simulator worker_sim(Simulator::Config{
-        options_.experiment.queue_backend, options_.experiment.batched_dispatch});
+    Simulator worker_sim;
     ExperimentOptions experiment = options_.experiment;
     experiment.simulator = &worker_sim;
     for (;;) {

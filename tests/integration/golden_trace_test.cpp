@@ -58,8 +58,7 @@ struct TraceRun {
   ExperimentResult result;
 };
 
-TraceRun run_with_trace(const ScenarioSpec& spec, QueueBackend backend,
-                        bool batched, Simulator* reuse = nullptr) {
+TraceRun run_with_trace(const ScenarioSpec& spec, Simulator* reuse = nullptr) {
   TraceRun run;
   auto mix = [&run](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -69,8 +68,6 @@ TraceRun run_with_trace(const ScenarioSpec& spec, QueueBackend backend,
   };
   ExperimentOptions options;
   options.capture_allocation_trace = false;
-  options.queue_backend = backend;
-  options.batched_dispatch = batched;
   options.simulator = reuse;
   options.dispatch_hook = [&mix](SimTime t, std::uint64_t seq) {
     mix(static_cast<std::uint64_t>(t.ns()));
@@ -80,40 +77,16 @@ TraceRun run_with_trace(const ScenarioSpec& spec, QueueBackend backend,
   return run;
 }
 
-struct TraceConfig {
-  QueueBackend backend;
-  bool batched;
-};
-
-/// Every queue backend x dispatch mode must reproduce the PR-5 golden
-/// hashes bit-for-bit: the ordering structure and the batching strategy
-/// are pure implementation detail, invisible in the dispatch stream.
-class GoldenTrace : public ::testing::TestWithParam<TraceConfig> {};
-
-TEST_P(GoldenTrace, PaperScenarioDispatchOrderIsPinned) {
+TEST(GoldenTrace, PaperScenarioDispatchOrderIsPinned) {
   for (const auto& golden : kGolden) {
     const auto control = bw_control_from_name(golden.policy);
     ASSERT_TRUE(control.has_value()) << golden.policy;
-    const auto run = run_with_trace(make_scenario(golden.scenario, *control),
-                                    GetParam().backend, GetParam().batched);
+    const auto run = run_with_trace(make_scenario(golden.scenario, *control));
     EXPECT_EQ(run.hash, golden.trace_hash)
-        << golden.scenario << " / " << golden.policy << " on "
-        << queue_backend_name(GetParam().backend)
-        << (GetParam().batched ? "/batched" : "/single-pop")
+        << golden.scenario << " / " << golden.policy
         << ": dispatch order changed — the determinism contract is broken";
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BackendMatrix, GoldenTrace,
-    ::testing::Values(TraceConfig{QueueBackend::kHeap, true},
-                      TraceConfig{QueueBackend::kHeap, false},
-                      TraceConfig{QueueBackend::kCalendar, true},
-                      TraceConfig{QueueBackend::kCalendar, false}),
-    [](const ::testing::TestParamInfo<TraceConfig>& param_info) {
-      return std::string(queue_backend_name(param_info.param.backend)) +
-             (param_info.param.batched ? "_batched" : "_single_pop");
-    });
 
 TEST(GoldenTraceArenaReuse, OneSimulatorAcrossAllRunsReproducesHashes) {
   // Exactly what a sweep worker does: one simulator, reset() between
@@ -123,8 +96,8 @@ TEST(GoldenTraceArenaReuse, OneSimulatorAcrossAllRunsReproducesHashes) {
   for (const auto& golden : kGolden) {
     const auto control = bw_control_from_name(golden.policy);
     ASSERT_TRUE(control.has_value()) << golden.policy;
-    const auto run = run_with_trace(make_scenario(golden.scenario, *control),
-                                    QueueBackend::kHeap, true, &sim);
+    const auto run =
+        run_with_trace(make_scenario(golden.scenario, *control), &sim);
     EXPECT_EQ(run.hash, golden.trace_hash)
         << golden.scenario << " / " << golden.policy
         << ": reused-arena dispatch order diverged from a fresh simulator";

@@ -8,17 +8,11 @@
 // identical fire order, sequence numbers, live() counts, and cancel()
 // verdicts throughout. Reservations take a number now and schedule with it
 // later in the same operation, as the PS disk does within one dispatch.
-// The whole suite runs over the {heap, calendar} x {single-pop, batched}
-// matrix: the ordering backend and the dispatch mode must both be
-// invisible to the model. Batched rounds exercise the staged-cohort
-// semantics, including cancels and same-time schedules issued mid-batch.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,14 +33,9 @@ struct ModelEvent {
   bool alive = false;
 };
 
-struct ModelConfig {
-  QueueBackend backend = QueueBackend::kHeap;
-  bool use_batch = false;
-};
-
-void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
+void run_model(std::uint64_t seed, int operations) {
   Xoshiro256 rng(seed);
-  EventQueue queue(config.backend);
+  EventQueue queue;
   Oracle oracle;
   std::vector<ModelEvent> events;  // every event ever scheduled
   std::vector<std::uint64_t> fired;
@@ -70,24 +59,23 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
 
   // Reserve-then-schedule-later: takes one to three numbers with ordinary
   // schedules interleaved, then schedules under a random subset of them
-  // (each at most once, in random order) at times >= `floor`. Nothing is
-  // popped in between, as the contract requires.
-  const auto reserve_burst = [&](std::int64_t floor) {
+  // (each at most once, in random order). Nothing is popped in between, as
+  // the contract requires.
+  const auto reserve_burst = [&] {
     std::vector<std::uint64_t> reserved;
     const std::uint64_t n = rng.next_in(1, 3);
     for (std::uint64_t i = 0; i < n; ++i) {
       reserved.push_back(queue.reserve_seq());
       ASSERT_EQ(reserved.back(), next_seq++) << "reserved number diverged";
       if (rng.next_in(0, 1) == 0)
-        schedule_one(floor + static_cast<std::int64_t>(rng.next_in(0, 499)));
+        schedule_one(static_cast<std::int64_t>(rng.next_in(0, 499)));
     }
     while (!reserved.empty()) {
       const std::size_t pick = rng.next_in(0, reserved.size() - 1);
       const std::uint64_t seq = reserved[pick];
       reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
       if (rng.next_in(0, 2) == 0) continue;  // dropped reservation
-      const std::int64_t when =
-          floor + static_cast<std::int64_t>(rng.next_in(0, 499));
+      const auto when = static_cast<std::int64_t>(rng.next_in(0, 499));
       track(queue.schedule_reserved(SimTime(when), seq,
                                     [&fired, seq] { fired.push_back(seq); }),
             when, seq);
@@ -131,45 +119,15 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
       // Schedule at a clustered time so ties are frequent.
       schedule_one(static_cast<std::int64_t>(rng.next_in(0, 499)));
     } else if (roll < 50) {
-      reserve_burst(0);
+      reserve_burst();
       if (::testing::Test::HasFatalFailure()) return;
     } else if (roll < 75) {
       // Cancel a random historical event — often already fired or already
       // cancelled, so stale-handle rejection is exercised constantly.
       cancel_random(op);
       if (::testing::Test::HasFatalFailure()) return;
-    } else if (config.use_batch && roll >= 90) {
-      // Batched drain of the earliest-time cohort. The staged batch must
-      // fire exactly the oracle's equal-key run, in insertion order, while
-      // cancels and same-time schedules issued mid-batch behave exactly as
-      // they would under single pops (the simulator forbids scheduling
-      // before the current dispatch time, so mid-batch times are >= t).
-      // Reservations taken mid-batch are used before the next collect.
-      ASSERT_FALSE(oracle.empty());
-      const std::int64_t t = oracle.begin()->first.first;
-      const auto cohort_end = oracle.lower_bound(Key{t + 1, 0});
-      ASSERT_EQ(queue.pop_batch(),
-                static_cast<std::size_t>(
-                    std::distance(oracle.begin(), cohort_end)))
-          << "cohort size diverged at op " << op;
-      ASSERT_EQ(queue.live(), oracle.size());  // staged events still pending
-      EventQueue::Fired out;
-      while (queue.collect_staged(out)) {
-        check_fired_front(out, op);
-        if (::testing::Test::HasFatalFailure()) return;
-        const std::uint64_t mid = rng.next_in(0, 3);
-        if (mid == 0) {
-          cancel_random(op);
-          if (::testing::Test::HasFatalFailure()) return;
-        } else if (mid == 1) {
-          schedule_one(t + static_cast<std::int64_t>(rng.next_in(0, 499)));
-        } else if (mid == 2) {
-          reserve_burst(t);
-          if (::testing::Test::HasFatalFailure()) return;
-        }
-      }
     } else {
-      // Pop: compare against the oracle's front (begin() of the multimap).
+      // Pop: compare against the oracle's front (begin() of the map).
       ASSERT_FALSE(oracle.empty());
       auto popped = queue.pop();
       check_fired_front(popped, op);
@@ -195,22 +153,18 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
   ASSERT_TRUE(queue.empty());
 }
 
-class EventQueueModel : public ::testing::TestWithParam<ModelConfig> {};
-
-TEST_P(EventQueueModel, TenThousandMixedOperations) {
-  run_model(0x5eed, 10000, GetParam());
+TEST(EventQueueModel, TenThousandMixedOperations) {
+  run_model(0x5eed, 10000);
 }
 
-TEST_P(EventQueueModel, MoreSeeds) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed)
-    run_model(seed, 2000, GetParam());
+TEST(EventQueueModel, MoreSeeds) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) run_model(seed, 2000);
 }
 
-TEST_P(EventQueueModel, ReservedSeqBelowCachedMinimumAtEqualTime) {
+TEST(EventQueueModel, ReservedSeqBelowMinimumAtEqualTime) {
   // An event scheduled under a reserved number at the same time as the
   // current minimum, with a smaller sequence number, becomes the minimum.
-  // next_time() makes the calendar backend cache the old minimum first.
-  EventQueue queue(GetParam().backend);
+  EventQueue queue;
   std::vector<int> order;
   const std::uint64_t reserved = queue.reserve_seq();
   queue.schedule(SimTime(5), [&order] { order.push_back(1); });
@@ -225,32 +179,21 @@ TEST_P(EventQueueModel, ReservedSeqBelowCachedMinimumAtEqualTime) {
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
-TEST_P(EventQueueModel, SchedulingUnreservedSeqFailsCheck) {
-  EventQueue queue(GetParam().backend);
+TEST(EventQueueModel, SchedulingUnreservedSeqFailsCheck) {
+  EventQueue queue;
   queue.schedule(SimTime(1), [] {});  // hands out sequence number 0
   EXPECT_DEATH(queue.schedule_reserved(SimTime(1), 1, [] {}),
                "not reserved since the last pop");
 }
 
-TEST_P(EventQueueModel, ReservationTakenBeforeLastPopFailsCheck) {
-  EventQueue queue(GetParam().backend);
+TEST(EventQueueModel, ReservationTakenBeforeLastPopFailsCheck) {
+  EventQueue queue;
   const std::uint64_t reserved = queue.reserve_seq();
   queue.schedule(SimTime(1), [] {});
   (void)queue.pop();
   EXPECT_DEATH(queue.schedule_reserved(SimTime(2), reserved, [] {}),
                "not reserved since the last pop");
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BackendMatrix, EventQueueModel,
-    ::testing::Values(ModelConfig{QueueBackend::kHeap, false},
-                      ModelConfig{QueueBackend::kHeap, true},
-                      ModelConfig{QueueBackend::kCalendar, false},
-                      ModelConfig{QueueBackend::kCalendar, true}),
-    [](const ::testing::TestParamInfo<ModelConfig>& param_info) {
-      return std::string(queue_backend_name(param_info.param.backend)) +
-             (param_info.param.use_batch ? "_batched" : "_single_pop");
-    });
 
 }  // namespace
 }  // namespace adaptbf

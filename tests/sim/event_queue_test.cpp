@@ -1,7 +1,6 @@
-// EventQueue API tests, run over both ordering backends: every observable
-// behavior (fire order, cancel verdicts, handle staleness, counts) must be
-// identical whether the structure underneath is the 4-ary heap or the
-// calendar queue. Batch staging and reset()-reuse get their own sections.
+// EventQueue API tests: fire order, cancel verdicts, handle staleness,
+// counts, callbacks that cancel or schedule at the current time, and
+// reset()-reuse.
 #include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
@@ -17,20 +16,14 @@
 namespace adaptbf {
 namespace {
 
-class EventQueueTest : public ::testing::TestWithParam<QueueBackend> {
- protected:
-  [[nodiscard]] EventQueue make() const { return EventQueue(GetParam()); }
-};
-
-TEST_P(EventQueueTest, EmptyAtStart) {
-  EventQueue queue = make();
+TEST(EventQueueTest, EmptyAtStart) {
+  EventQueue queue;
   EXPECT_TRUE(queue.empty());
   EXPECT_EQ(queue.next_time(), SimTime::max());
-  EXPECT_EQ(queue.backend(), GetParam());
 }
 
-TEST_P(EventQueueTest, PopsInTimeOrder) {
-  EventQueue queue = make();
+TEST(EventQueueTest, PopsInTimeOrder) {
+  EventQueue queue;
   std::vector<int> fired;
   queue.schedule(SimTime(30), [&] { fired.push_back(3); });
   queue.schedule(SimTime(10), [&] { fired.push_back(1); });
@@ -39,8 +32,8 @@ TEST_P(EventQueueTest, PopsInTimeOrder) {
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueTest, TiesBreakByInsertionOrder) {
-  EventQueue queue = make();
+TEST(EventQueueTest, TiesBreakByInsertionOrder) {
+  EventQueue queue;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i)
     queue.schedule(SimTime(5), [&fired, i] { fired.push_back(i); });
@@ -48,8 +41,8 @@ TEST_P(EventQueueTest, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
-TEST_P(EventQueueTest, CancelPreventsFiring) {
-  EventQueue queue = make();
+TEST(EventQueueTest, CancelPreventsFiring) {
+  EventQueue queue;
   bool fired = false;
   const EventHandle handle = queue.schedule(SimTime(10), [&] { fired = true; });
   EXPECT_TRUE(queue.cancel(handle));
@@ -57,22 +50,22 @@ TEST_P(EventQueueTest, CancelPreventsFiring) {
   EXPECT_FALSE(fired);
 }
 
-TEST_P(EventQueueTest, CancelTwiceFails) {
-  EventQueue queue = make();
+TEST(EventQueueTest, CancelTwiceFails) {
+  EventQueue queue;
   const EventHandle handle = queue.schedule(SimTime(10), [] {});
   EXPECT_TRUE(queue.cancel(handle));
   EXPECT_FALSE(queue.cancel(handle));
 }
 
-TEST_P(EventQueueTest, CancelAfterFireFails) {
-  EventQueue queue = make();
+TEST(EventQueueTest, CancelAfterFireFails) {
+  EventQueue queue;
   const EventHandle handle = queue.schedule(SimTime(10), [] {});
   queue.pop().fn();
   EXPECT_FALSE(queue.cancel(handle));
 }
 
-TEST_P(EventQueueTest, CancelMiddleKeepsOrder) {
-  EventQueue queue = make();
+TEST(EventQueueTest, CancelMiddleKeepsOrder) {
+  EventQueue queue;
   std::vector<int> fired;
   queue.schedule(SimTime(1), [&] { fired.push_back(1); });
   const EventHandle handle =
@@ -83,16 +76,16 @@ TEST_P(EventQueueTest, CancelMiddleKeepsOrder) {
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
-TEST_P(EventQueueTest, NextTimeSkipsCancelled) {
-  EventQueue queue = make();
+TEST(EventQueueTest, NextTimeSkipsCancelled) {
+  EventQueue queue;
   const EventHandle handle = queue.schedule(SimTime(1), [] {});
   queue.schedule(SimTime(5), [] {});
   queue.cancel(handle);
   EXPECT_EQ(queue.next_time(), SimTime(5));
 }
 
-TEST_P(EventQueueTest, LiveCountTracksCancellations) {
-  EventQueue queue = make();
+TEST(EventQueueTest, LiveCountTracksCancellations) {
+  EventQueue queue;
   const EventHandle a = queue.schedule(SimTime(1), [] {});
   queue.schedule(SimTime(2), [] {});
   EXPECT_EQ(queue.live(), 2u);
@@ -100,24 +93,24 @@ TEST_P(EventQueueTest, LiveCountTracksCancellations) {
   EXPECT_EQ(queue.live(), 1u);
 }
 
-TEST_P(EventQueueTest, DefaultHandleIsInvalid) {
-  EventQueue queue = make();
+TEST(EventQueueTest, DefaultHandleIsInvalid) {
+  EventQueue queue;
   EventHandle handle;
   EXPECT_FALSE(handle.valid());
   EXPECT_FALSE(queue.pending(handle));
   EXPECT_FALSE(queue.cancel(handle));
 }
 
-TEST_P(EventQueueTest, PendingTracksLifecycle) {
-  EventQueue queue = make();
+TEST(EventQueueTest, PendingTracksLifecycle) {
+  EventQueue queue;
   const EventHandle handle = queue.schedule(SimTime(10), [] {});
   EXPECT_TRUE(queue.pending(handle));
   queue.pop().fn();
   EXPECT_FALSE(queue.pending(handle));
 }
 
-TEST_P(EventQueueTest, StaleHandleAgainstReusedSlotFails) {
-  EventQueue queue = make();
+TEST(EventQueueTest, StaleHandleAgainstReusedSlotFails) {
+  EventQueue queue;
   const EventHandle first = queue.schedule(SimTime(10), [] {});
   queue.pop().fn();
   // The pool reuses the released slot; the old handle's generation is
@@ -131,8 +124,8 @@ TEST_P(EventQueueTest, StaleHandleAgainstReusedSlotFails) {
   EXPECT_TRUE(queue.cancel(second));
 }
 
-TEST_P(EventQueueTest, SequencesAssignedInScheduleOrder) {
-  EventQueue queue = make();
+TEST(EventQueueTest, SequencesAssignedInScheduleOrder) {
+  EventQueue queue;
   queue.schedule(SimTime(30), [] {});
   queue.schedule(SimTime(10), [] {});
   queue.schedule(SimTime(20), [] {});
@@ -141,8 +134,8 @@ TEST_P(EventQueueTest, SequencesAssignedInScheduleOrder) {
   EXPECT_EQ(queue.pop().seq, 0u);
 }
 
-TEST_P(EventQueueTest, StatsCountOperations) {
-  EventQueue queue = make();
+TEST(EventQueueTest, StatsCountOperations) {
+  EventQueue queue;
   const EventHandle handle = queue.schedule(SimTime(1), [] {});
   queue.schedule(SimTime(2), [] {});
   queue.cancel(handle);
@@ -152,12 +145,9 @@ TEST_P(EventQueueTest, StatsCountOperations) {
   EXPECT_EQ(queue.stats().fired, 1u);
 }
 
-TEST_P(EventQueueTest, ReserveMakesSteadyStateAllocationFree) {
-  EventQueue queue = make();
+TEST(EventQueueTest, ReserveMakesSteadyStateAllocationFree) {
+  EventQueue queue;
   queue.reserve(64);
-  // One warm-up round first: the calendar's per-bucket vectors size
-  // themselves to the workload's tie pattern on first contact, which is
-  // expected one-time growth, not steady-state churn.
   const auto churn_round = [&queue] {
     std::vector<EventHandle> handles;
     for (int i = 0; i < 64; ++i)
@@ -165,16 +155,14 @@ TEST_P(EventQueueTest, ReserveMakesSteadyStateAllocationFree) {
     for (int i = 0; i < 32; ++i) queue.cancel(handles[static_cast<size_t>(i)]);
     while (!queue.empty()) queue.pop().fn();
   };
-  churn_round();
-  const std::uint64_t reallocations_before = queue.stats().pool_reallocations;
   // Churn far more events than the reservation, never exceeding 64 live.
   for (int round = 0; round < 100; ++round) churn_round();
-  EXPECT_EQ(queue.stats().pool_reallocations, reallocations_before);
+  EXPECT_EQ(queue.stats().pool_reallocations, 0u);
   EXPECT_LE(queue.pool_slots(), 64u);
 }
 
-TEST_P(EventQueueTest, OversizedCaptureStillWorksViaHeapFallback) {
-  EventQueue queue = make();
+TEST(EventQueueTest, OversizedCaptureStillWorksViaHeapFallback) {
+  EventQueue queue;
   // > kInlineCapacity bytes of captured state must still fire correctly.
   std::array<std::uint64_t, 32> big{};
   big[0] = 7;
@@ -185,11 +173,10 @@ TEST_P(EventQueueTest, OversizedCaptureStillWorksViaHeapFallback) {
   EXPECT_EQ(sum, 16u);
 }
 
-TEST_P(EventQueueTest, HeapSpillsCountedPerQueue) {
-  // The per-queue spill counter sees only this queue's oversized captures
-  // (unlike the deprecated process-wide EventCallback::heap_fallbacks()).
-  EventQueue queue = make();
-  EventQueue other(GetParam());
+TEST(EventQueueTest, HeapSpillsCountedPerQueue) {
+  // The per-queue spill counter sees only this queue's oversized captures.
+  EventQueue queue;
+  EventQueue other;
   std::array<std::uint64_t, 32> big{};
   queue.schedule(SimTime(1), [] {});  // inline: no spill
   EXPECT_EQ(queue.stats().callback_heap_spills, 0u);
@@ -198,8 +185,8 @@ TEST_P(EventQueueTest, HeapSpillsCountedPerQueue) {
   EXPECT_EQ(other.stats().callback_heap_spills, 0u);
 }
 
-TEST_P(EventQueueTest, CancelledCallbackStateIsReleased) {
-  EventQueue queue = make();
+TEST(EventQueueTest, CancelledCallbackStateIsReleased) {
+  EventQueue queue;
   auto token = std::make_shared<int>(42);
   std::weak_ptr<int> watch = token;
   const EventHandle handle = queue.schedule(SimTime(1), [token] {});
@@ -209,8 +196,8 @@ TEST_P(EventQueueTest, CancelledCallbackStateIsReleased) {
   EXPECT_TRUE(watch.expired());  // cancel destroys the captured state
 }
 
-TEST_P(EventQueueTest, StressManyRandomOrderings) {
-  EventQueue queue = make();
+TEST(EventQueueTest, StressManyRandomOrderings) {
+  EventQueue queue;
   std::vector<std::int64_t> fired;
   // Insert with a scrambled deterministic pattern.
   for (std::int64_t i = 0; i < 1000; ++i) {
@@ -227,40 +214,12 @@ TEST_P(EventQueueTest, StressManyRandomOrderings) {
   EXPECT_EQ(fired.size(), 1000u);
 }
 
-// ---------------------------------------------------------- batch staging
+// ------------------------------------------- same-time cancel and schedule
 
-TEST_P(EventQueueTest, PopBatchDrainsExactlyTheEarliestCohort) {
-  EventQueue queue = make();
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i)
-    queue.schedule(SimTime(10), [&fired, i] { fired.push_back(i); });
-  queue.schedule(SimTime(20), [&fired] { fired.push_back(99); });
-  ASSERT_EQ(queue.pop_batch(), 5u);
-  EXPECT_EQ(queue.live(), 6u);  // staged events are still pending
-  EventQueue::Fired out;
-  while (queue.collect_staged(out)) out.fn();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(queue.live(), 1u);
-  EXPECT_EQ(queue.next_time(), SimTime(20));
-}
-
-TEST_P(EventQueueTest, PopBatchOfOneMatchesPop) {
-  EventQueue queue = make();
-  queue.schedule(SimTime(7), [] {});
-  ASSERT_EQ(queue.pop_batch(), 1u);
-  EventQueue::Fired out;
-  ASSERT_TRUE(queue.collect_staged(out));
-  EXPECT_EQ(out.time, SimTime(7));
-  EXPECT_EQ(out.seq, 0u);
-  EXPECT_FALSE(queue.collect_staged(out));
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST_P(EventQueueTest, CancelDuringBatchPreventsStagedEventFromFiring) {
-  // An event dispatched early in a batch cancels a same-timestamp event
-  // staged behind it — the staged event must not fire, exactly as under
-  // single pops.
-  EventQueue queue = make();
+TEST(EventQueueTest, CallbackCancelsSameTimeEventQueuedBehindIt) {
+  // An event cancels a same-timestamp event scheduled behind it: the
+  // victim never fires and the remaining same-time event still does.
+  EventQueue queue;
   std::vector<int> fired;
   EventHandle second;
   queue.schedule(SimTime(10), [&] {
@@ -269,54 +228,30 @@ TEST_P(EventQueueTest, CancelDuringBatchPreventsStagedEventFromFiring) {
   });
   second = queue.schedule(SimTime(10), [&] { fired.push_back(1); });
   queue.schedule(SimTime(10), [&] { fired.push_back(2); });
-  ASSERT_EQ(queue.pop_batch(), 3u);
-  EventQueue::Fired out;
-  while (queue.collect_staged(out)) out.fn();
+  while (!queue.empty()) queue.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{0, 2}));
   EXPECT_EQ(queue.stats().cancelled, 1u);
   EXPECT_EQ(queue.stats().fired, 2u);
-  EXPECT_TRUE(queue.empty());
 }
 
-TEST_P(EventQueueTest, ScheduleDuringBatchJoinsTheStructureNotTheBatch) {
-  // A same-time event scheduled while collecting lands in the ordering
-  // structure (it has a later sequence number than everything staged), so
-  // it fires in the NEXT batch — the same order single pops produce.
-  EventQueue queue = make();
+TEST(EventQueueTest, SameTimeScheduleFiresAfterEventsAlreadyQueued) {
+  // A same-time event scheduled from a callback takes a later sequence
+  // number than everything already queued at that time, so it fires last.
+  EventQueue queue;
   std::vector<int> fired;
   queue.schedule(SimTime(10), [&] {
     fired.push_back(0);
     queue.schedule(SimTime(10), [&] { fired.push_back(9); });
   });
   queue.schedule(SimTime(10), [&] { fired.push_back(1); });
-  ASSERT_EQ(queue.pop_batch(), 2u);
-  EventQueue::Fired out;
-  while (queue.collect_staged(out)) out.fn();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1}));
-  ASSERT_EQ(queue.pop_batch(), 1u);
-  while (queue.collect_staged(out)) out.fn();
+  while (!queue.empty()) queue.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 9}));
-}
-
-TEST_P(EventQueueTest, CancelledStagedCallbackStateIsReleased) {
-  EventQueue queue = make();
-  auto token = std::make_shared<int>(42);
-  std::weak_ptr<int> watch = token;
-  const EventHandle handle = queue.schedule(SimTime(1), [token] {});
-  token.reset();
-  ASSERT_EQ(queue.pop_batch(), 1u);
-  EXPECT_TRUE(queue.pending(handle));  // staged, not yet collected
-  EXPECT_TRUE(queue.cancel(handle));
-  EXPECT_TRUE(watch.expired());  // cancel destroys the staged state
-  EventQueue::Fired out;
-  EXPECT_FALSE(queue.collect_staged(out));
-  EXPECT_TRUE(queue.empty());
 }
 
 // ----------------------------------------------------------- reset reuse
 
-TEST_P(EventQueueTest, ResetDropsPendingAndRewindsSequences) {
-  EventQueue queue = make();
+TEST(EventQueueTest, ResetDropsPendingAndRewindsSequences) {
+  EventQueue queue;
   bool fired = false;
   const EventHandle handle = queue.schedule(SimTime(5), [&] { fired = true; });
   queue.schedule(SimTime(6), [] {});
@@ -331,8 +266,8 @@ TEST_P(EventQueueTest, ResetDropsPendingAndRewindsSequences) {
   EXPECT_EQ(queue.pop().seq, 0u);
 }
 
-TEST_P(EventQueueTest, ResetReleasesPendingCallbackState) {
-  EventQueue queue = make();
+TEST(EventQueueTest, ResetReleasesPendingCallbackState) {
+  EventQueue queue;
   auto token = std::make_shared<int>(1);
   std::weak_ptr<int> watch = token;
   queue.schedule(SimTime(5), [token] {});
@@ -342,31 +277,16 @@ TEST_P(EventQueueTest, ResetReleasesPendingCallbackState) {
   EXPECT_TRUE(watch.expired());
 }
 
-TEST_P(EventQueueTest, ResetReleasesUncollectedStagedEvents) {
-  EventQueue queue = make();
-  auto token = std::make_shared<int>(1);
-  std::weak_ptr<int> watch = token;
-  queue.schedule(SimTime(5), [token] {});
-  queue.schedule(SimTime(5), [] {});
-  token.reset();
-  ASSERT_EQ(queue.pop_batch(), 2u);
-  queue.reset();  // mid-batch reset: staged events are dropped too
-  EXPECT_TRUE(watch.expired());
-  EXPECT_TRUE(queue.empty());
-  EventQueue::Fired out;
-  EXPECT_FALSE(queue.collect_staged(out));
-}
-
-TEST_P(EventQueueTest, ResetKeepsStorageWarm) {
-  EventQueue queue = make();
+TEST(EventQueueTest, ResetKeepsStorageWarm) {
+  EventQueue queue;
   const auto fill_and_drain = [&queue] {
     for (int i = 0; i < 200; ++i) queue.schedule(SimTime(i % 17), [] {});
     while (!queue.empty()) queue.pop().fn();
   };
   fill_and_drain();
   queue.reset();
-  // The second identical round must not grow any storage: the slab, the
-  // ordering structure, and the staging scratch all survived the reset.
+  // The second identical round must not grow any storage: the slab and
+  // the heap both survived the reset.
   fill_and_drain();
   EXPECT_EQ(queue.stats().pool_reallocations, 0u);
 }
@@ -375,9 +295,9 @@ TEST_P(EventQueueTest, ResetKeepsStorageWarm) {
 /// fresh one — the same operation sequence produces the same (time, seq)
 /// fire trace, cancel verdicts, and counts, no matter what ran before the
 /// reset.
-TEST_P(EventQueueTest, ResetQueueTracesIdenticallyToFreshQueue) {
+TEST(EventQueueTest, ResetQueueTracesIdenticallyToFreshQueue) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    EventQueue reused = make();
+    EventQueue reused;
     // Arbitrary pre-history, abandoned mid-flight (pending events left).
     Xoshiro256 pre(seed * 977);
     std::vector<EventHandle> pre_handles;
@@ -390,7 +310,7 @@ TEST_P(EventQueueTest, ResetQueueTracesIdenticallyToFreshQueue) {
     }
     reused.reset();
 
-    EventQueue fresh = make();
+    EventQueue fresh;
     const auto run_ops = [](EventQueue& queue, std::uint64_t op_seed) {
       // (time, seq) trace plus verdict/count observations.
       std::vector<std::pair<std::int64_t, std::uint64_t>> trace;
@@ -420,18 +340,6 @@ TEST_P(EventQueueTest, ResetQueueTracesIdenticallyToFreshQueue) {
     EXPECT_EQ(run_ops(reused, seed), run_ops(fresh, seed))
         << "reset()-reuse trace diverged from fresh queue, seed " << seed;
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueTest,
-                         ::testing::Values(QueueBackend::kHeap,
-                                           QueueBackend::kCalendar),
-                         [](const ::testing::TestParamInfo<QueueBackend>& param_info) {
-                           return queue_backend_name(param_info.param);
-                         });
-
-TEST(QueueBackendName, Tokens) {
-  EXPECT_STREQ(queue_backend_name(QueueBackend::kHeap), "heap");
-  EXPECT_STREQ(queue_backend_name(QueueBackend::kCalendar), "calendar");
 }
 
 }  // namespace
